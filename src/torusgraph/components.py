@@ -1,10 +1,11 @@
-"""Connected components: union-find for measurement, exploration for fidelity.
+"""Connected components: csgraph for measurement, exploration for fidelity.
 
-The measurement path is a flat-array disjoint-set forest (path halving +
-union by size).  The exploration algorithm is the active/saturated/
-neutral procedure whose stopping time T equals the component size; it
-exists to generate traces for branching-process comparisons and to
-cross-check the union-find backend, not for throughput.
+The measurement path labels components with
+``scipy.sparse.csgraph.connected_components`` on the sparse adjacency
+matrix of the edge list.  The exploration algorithm is the active/
+saturated/neutral procedure whose stopping time T equals the component
+size; it exists to generate traces for branching-process comparisons
+and to cross-check the measurement path, not for throughput.
 """
 
 from __future__ import annotations
@@ -13,33 +14,11 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .geometry import torus_distance
 from .model import Graph
-
-
-class DisjointSet:
-    """Array-backed union-find with path halving and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
 
 
 @dataclass
@@ -57,12 +36,10 @@ class ComponentSummary:
 def largest_component(g: Graph) -> ComponentSummary:
     """Exact component decomposition of the sampled graph."""
     n = g.n_vertices
-    ds = DisjointSet(n)
-    for a, b in g.edges:
-        ds.union(int(a), int(b))
-    roots = [ds.find(i) for i in range(n)]
-    sizes = np.bincount(np.asarray(roots))
-    return ComponentSummary.from_sizes(sizes[sizes > 0])
+    e = g.edges
+    adj = coo_matrix((np.ones(len(e), dtype=np.int8), (e[:, 0], e[:, 1])), shape=(n, n))
+    _, labels = connected_components(adj, directed=False)
+    return ComponentSummary.from_sizes(np.bincount(labels))
 
 
 @dataclass
@@ -143,13 +120,17 @@ def _torus_of(g: Graph):
 
 def component_decomposition(g: Graph, rng: np.random.Generator) -> list[ExplorationTrace]:
     """Explore components from uniformly chosen unvisited start vertices
-    until every vertex is covered exactly once."""
-    unvisited = set(range(g.n_vertices))
+    until every vertex is covered exactly once.
+
+    Starts are taken in the order of one uniform permutation, skipping
+    visited vertices; the first unvisited vertex of a uniform
+    permutation is uniform among the unvisited ones."""
+    visited = np.zeros(g.n_vertices, dtype=bool)
     traces: list[ExplorationTrace] = []
-    while unvisited:
-        pool = sorted(unvisited)
-        start = pool[int(rng.integers(len(pool)))]
-        tr = explore_component(g, start, rng)
+    for start in rng.permutation(g.n_vertices):
+        if visited[start]:
+            continue
+        tr = explore_component(g, int(start), rng)
         traces.append(tr)
-        unvisited.difference_update(tr.vertices())
+        visited[tr.vertices()] = True
     return traces

@@ -10,6 +10,7 @@ replicates are scheduled across workers.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -28,34 +29,11 @@ ESTIMATORS = ("C_over_N2", "C_over_logN2")
 
 
 # ---------------------------------------------------------------------------
-# weight spec <-> config dict
+# weight spec <-> config dict (the JSON form is owned by WeightSpec)
 # ---------------------------------------------------------------------------
 
-def weights_from_dict(d: dict | None) -> WeightSpec:
-    if d is None:
-        return WeightSpec.constant(1.0)
-    kind = d.get("kind", "constant")
-    if kind == "constant":
-        return WeightSpec.constant(float(d.get("value", 1.0)))
-    if kind == "discrete":
-        return WeightSpec.discrete(d["values"], d["probs"])
-    if kind == "truncated_exponential":
-        return WeightSpec.truncated_exponential(
-            rate=float(d.get("rate", 1.0)), upper=float(d.get("upper", 8.0))
-        )
-    raise ValueError(f"unknown weight kind in config: {kind!r}")
-
-
-def weights_to_dict(w: WeightSpec) -> dict:
-    if w.kind == "constant":
-        return {"kind": "constant", "value": w._data["value"]}
-    if w.kind == "discrete":
-        return {
-            "kind": "discrete",
-            "values": list(map(float, w._data["values"])),
-            "probs": list(map(float, w._data["probs"])),
-        }
-    return {"kind": "continuous", "lo": w._data["lo"], "hi": w._data["hi"]}
+weights_from_dict = WeightSpec.from_dict
+weights_to_dict = WeightSpec.to_dict
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +113,15 @@ def replicate_seed(root: int, point_index: int, rep: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+@functools.lru_cache(maxsize=4)
+def _torus(N: int) -> TorusConfig:
+    """One TorusConfig per N and process, so its ring tables are built once."""
+    return TorusConfig(N)
+
+
 def _replicate_task(args) -> tuple[int, int, int]:
     N, c, weights_dict, seed = args
-    m = ModelConfig(TorusConfig(N), c, weights_from_dict(weights_dict), seed)
+    m = ModelConfig(_torus(N), c, weights_from_dict(weights_dict), seed)
     g = sample_graph(m)
     return largest_component(g).largest, g.edge_count, seed
 

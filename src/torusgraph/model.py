@@ -38,10 +38,12 @@ class WeightSpec:
     def __init__(self, kind: str, **data):
         self.kind = kind
         self._data = data
+        self._params: dict | None = None  # JSON form of the constructor call, see to_dict
         if kind == "constant":
             w = float(data["value"])
             if w < 0:
                 raise ValueError("weight must be nonnegative")
+            self._params = {"kind": "constant", "value": w}
             self.mean = w
             self.second_moment = w * w
             self.support_bound = w
@@ -56,6 +58,7 @@ class WeightSpec:
                 raise ValueError("probabilities must be nonnegative and sum to 1")
             self._data["values"] = values
             self._data["probs"] = probs
+            self._params = {"kind": "discrete", "values": values.tolist(), "probs": probs.tolist()}
             self.mean = float(values @ probs)
             self.second_moment = float((values**2) @ probs)
             self.support_bound = float(values.max())
@@ -111,7 +114,40 @@ class WeightSpec:
             u = rng.random(n)
             return -np.log1p(-u * Z) / rate
 
-        return cls("continuous", pdf=pdf, lo=0.0, hi=upper, n_nodes=n_nodes, sampler=sampler)
+        spec = cls("continuous", pdf=pdf, lo=0.0, hi=upper, n_nodes=n_nodes, sampler=sampler)
+        spec._params = {"kind": "truncated_exponential", "rate": float(rate),
+                       "upper": float(upper), "n_nodes": int(n_nodes)}
+        return spec
+
+    # -- JSON form ---------------------------------------------------------
+
+    @classmethod
+    def from_dict(cls, d: dict | None) -> "WeightSpec":
+        """Spec from its JSON form; None means constant weight 1."""
+        if d is None:
+            return cls.constant(1.0)
+        kind = d.get("kind", "constant")
+        if kind == "constant":
+            return cls.constant(float(d.get("value", 1.0)))
+        if kind == "discrete":
+            return cls.discrete(d["values"], d["probs"])
+        if kind == "truncated_exponential":
+            return cls.truncated_exponential(
+                rate=float(d.get("rate", 1.0)), upper=float(d.get("upper", 8.0)),
+                n_nodes=int(d.get("n_nodes", 400)),
+            )
+        raise ValueError(f"unknown weight kind in config: {kind!r}")
+
+    def to_dict(self) -> dict:
+        """JSON form that `from_dict` turns back into the same law.
+
+        A continuous law built from a user density has none: the density
+        is code, not data."""
+        if self._params is None:
+            raise ParameterError(
+                "a continuous weight law built from a user density has no JSON form"
+            )
+        return dict(self._params)
 
     # -- queries -----------------------------------------------------------
 
@@ -285,13 +321,11 @@ class Graph:
             self._indptr = np.zeros(n + 1, dtype=np.int64)
             self._indices = np.empty(0, dtype=np.int64)
             return
-        src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-        dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        counts = np.bincount(src, minlength=n)
+        lo, hi = self.edges.astype(np.int64, copy=False).T
+        key = np.sort(np.concatenate([lo * n + hi, hi * n + lo]))  # by (src, dst)
+        counts = np.bincount(key // n, minlength=n)
         self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        self._indices = dst
+        self._indices = key % n
 
     def neighbors(self, i: int) -> np.ndarray:
         """Sorted neighbor indices of vertex i."""
@@ -438,12 +472,12 @@ def sample_graph(m: ModelConfig, seed: int | None = None) -> Graph:
     if srcs:
         u = np.concatenate(srcs)
         v = np.concatenate(dsts)
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        edges = np.stack([lo, hi], axis=1)
-        edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+        # sorting lo*n + hi (< n^2, fits int64) is lexicographic order on (lo, hi) as hi < n
+        key = np.sort(np.minimum(u, v).astype(np.int64) * n + np.maximum(u, v))
+        edges = np.stack([key // n, key % n], axis=1)
     else:
         edges = np.empty((0, 2), dtype=np.int64)
-    return Graph(N, weights, edges.astype(np.int64))
+    return Graph(N, weights, edges)
 
 
 def _ring_populations(cfg: TorusConfig, paired: np.ndarray, selfinv: np.ndarray):

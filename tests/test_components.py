@@ -10,7 +10,7 @@ from torusgraph.components import (
     largest_component,
 )
 from torusgraph.geometry import TorusConfig
-from torusgraph.model import Graph, ModelConfig, sample_graph
+from torusgraph.model import Graph, ModelConfig, c_of_lambda, sample_graph
 
 
 def rng_for(seed):
@@ -38,6 +38,29 @@ class TestLargestComponent:
         edges = [(a, b) for a in range(n) for b in range(a + 1, n)]
         cs = largest_component(make_graph(3, edges))
         assert cs.largest == n and cs.count == 1
+
+    @pytest.mark.parametrize("N", [2, 5, 40])
+    def test_edgeless_graph(self, N):
+        g = sample_graph(ModelConfig(TorusConfig(N), 0.0, seed=1))
+        assert g.edge_count == 0
+        cs = largest_component(g)
+        assert cs.count == N * N
+        assert np.all(cs.sizes == 1) and cs.largest == 1
+
+    def test_two_components_and_isolated_vertices(self):
+        # N=4: path 0-1-2-3 and triangle 5-9-10; the other 9 vertices isolated
+        g = make_graph(4, [(0, 1), (2, 1), (3, 2), (5, 9), (9, 10), (10, 5)])
+        cs = largest_component(g)
+        assert cs.largest == 4
+        assert cs.count == 2 + 9
+        assert list(cs.sizes) == [4, 3] + [1] * 9
+
+    @pytest.mark.parametrize("N, lam, seed", [(20, 0.8, 1), (24, 1.5, 2), (31, 2.5, 3)])
+    def test_matches_exploration_oracle(self, N, lam, seed):
+        g = sample_graph(ModelConfig(TorusConfig(N), c_of_lambda(lam), seed=seed))
+        traces = component_decomposition(g, rng_for(seed))
+        expect = sorted(t.T for t in traces)
+        assert sorted(largest_component(g).sizes.tolist()) == expect
 
     def test_sizes_sum(self):
         g = sample_graph(ModelConfig(TorusConfig(12), 0.8, seed=3))

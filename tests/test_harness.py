@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from torusgraph.cli import main as cli_main
+from torusgraph.errors import ParameterError
 from torusgraph.harness import (
     ExperimentPlan,
     SweepPoint,
@@ -45,6 +47,30 @@ class TestWeightsDict:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             weights_from_dict({"kind": "lognormal"})
+
+    @pytest.mark.parametrize("d", [
+        {"kind": "constant", "value": 1.5},
+        {"kind": "discrete", "values": [1.0, 2.0], "probs": [0.25, 0.75]},
+        {"kind": "truncated_exponential", "rate": 2.0, "upper": 6.0, "n_nodes": 300},
+    ])
+    def test_roundtrip_every_kind(self, d):
+        w = weights_from_dict(d)
+        assert weights_to_dict(w) == d
+        back = weights_from_dict(json.loads(json.dumps(weights_to_dict(w))))
+        assert back.kind == w.kind
+        assert back.support_bound == w.support_bound
+        assert back.mean == w.mean and back.second_moment == w.second_moment
+
+    def test_truncated_exponential_defaults_roundtrip(self):
+        w = weights_from_dict({"kind": "truncated_exponential"})
+        d = weights_to_dict(w)
+        assert d == {"kind": "truncated_exponential", "rate": 1.0, "upper": 8.0, "n_nodes": 400}
+        assert weights_to_dict(weights_from_dict(d)) == d
+
+    def test_user_density_has_no_dict_form(self):
+        w = WeightSpec.continuous(lambda x: np.full_like(x, 0.5), 0.0, 2.0)
+        with pytest.raises(ParameterError):
+            weights_to_dict(w)
 
 
 class TestPlanParsing:
@@ -104,6 +130,18 @@ class TestRunExperiment:
         serial = run_experiment(plan, threads=1).to_csv()
         parallel = run_experiment(small_plan(), threads=2).to_csv()
         assert serial == parallel
+
+    def test_pinned_rows(self):
+        # (seed, C, edges) per replicate as literals: any change to the
+        # seeding, the random stream, the sampled edges or the component
+        # sizes shows here
+        plan = ExperimentPlan.from_dict({"N": 30, "lambda": 2.0, "replicates": 3, "seed": 2024})
+        rows = run_experiment(plan).points[0].replicate_rows
+        assert [(r["seed"], r["C"], r["edges"]) for r in rows] == [
+            (5514401882974304769, 708, 881),
+            (5969099755387220158, 715, 887),
+            (1150912202361056230, 753, 897),
+        ]
 
     def test_zero_c_degenerate(self):
         # empty graph: every component is a single vertex, C/N^2 = 1/N^2

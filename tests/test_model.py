@@ -174,6 +174,29 @@ class TestSampleGraph:
             for j in g.neighbors(i):
                 assert i in g.neighbors(int(j))
 
+    @pytest.mark.parametrize("N, c, weights", [
+        (31, 1.2, WeightSpec.constant(1.0)),
+        (32, 0.6, WeightSpec.discrete([1.0, 3.0], [0.5, 0.5])),
+        (40, 0.1, WeightSpec.truncated_exponential(1.0, 8.0)),
+    ])
+    def test_edges_canonical(self, N, c, weights):
+        # lo < hi on every row, and rows strictly increasing in lo*n + hi:
+        # lexicographically sorted with no duplicate edge
+        g = sample_graph(ModelConfig(TorusConfig(N), c, weights, seed=N))
+        assert g.edge_count > 0
+        assert np.all(g.edges[:, 0] < g.edges[:, 1])
+        key = g.edges[:, 0] * g.n_vertices + g.edges[:, 1]
+        assert np.all(np.diff(key) > 0)
+
+    def test_adjacency_sorted_and_symmetric(self):
+        g = sample_graph(ModelConfig(TorusConfig(16), 1.5, seed=9))
+        pairs = set()
+        for i in range(g.n_vertices):
+            nb = g.neighbors(i)
+            assert np.all(np.diff(nb) > 0)
+            pairs |= {(min(i, int(j)), max(i, int(j))) for j in nb}
+        assert pairs == {(int(a), int(b)) for a, b in g.edges}
+
     def test_mean_edge_count(self):
         # E(edges) = sum over pairs of p(u,v) = N^2 sum_r N_r p_r / 2
         N, c, reps = 50, 1.0, 200
