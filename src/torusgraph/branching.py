@@ -32,20 +32,6 @@ class _Exceeded:
 EXCEEDED = _Exceeded()
 
 
-@dataclass(frozen=True)
-class ProgenyDistribution:
-    """Total-progeny (Borel) law of a Poisson(intensity) GW process."""
-
-    intensity: float
-    cap: int = 1_000_000
-
-    def tail(self, k: int) -> float:
-        return borel_tail(self.intensity, k)
-
-    def sample(self, rng: np.random.Generator):
-        return simulate_poisson_gw(self.intensity, self.cap, rng)
-
-
 def borel_tail(lambda_prime: float, k: int) -> float:
     """P{total progeny >= k} for offspring law Po(lambda'), lambda' < 1.
 

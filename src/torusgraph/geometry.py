@@ -25,12 +25,12 @@ class TorusConfig:
             raise ValueError(f"side length must be > 1, got {N}")
         self.N = int(N)
         i = np.arange(self.N)
-        # folded distance of a single-coordinate offset; for even N the
-        # case i = N/2 falls in the first branch (both branches agree there
-        # would not: N - N/2 = N/2, so they do agree).  |u1 - v1| <= N - 1
-        # always, so no extension of d_N beyond i < N is needed.
+        # folded distance d_N(i) of a single-coordinate offset i; for even
+        # N both branches give N/2 at i = N/2.  |u1 - v1| <= N - 1, so
+        # offsets 0..N-1 cover every coordinate difference.
         self.offset_dist = np.where(2 * i <= self.N, i, self.N - i).astype(np.int64)
         self._ring_offsets_cache: dict[int, np.ndarray] | None = None
+        self._slot_table = None  # model.SlotTable, built on the first sample
 
     @property
     def n_vertices(self) -> int:

@@ -225,7 +225,7 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
         report = build_report(p.lam, spec)
         warnings: list[str] = []
         bound = spec.support_bound
-        if bound is not None and p.c * bound * bound / p.N >= 1.0:
+        if p.c * bound * bound / p.N >= 1.0:
             warnings.append("edge probability capped at distance 1; theory assumes p_r < 1")
         tasks = [
             (p.N, p.c, p.weights, replicate_seed(plan.seed, pi, rep))

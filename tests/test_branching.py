@@ -6,7 +6,6 @@ from scipy.stats import ks_2samp
 
 from torusgraph.branching import (
     EXCEEDED,
-    ProgenyDistribution,
     binomial_poisson_tv,
     borel_tail,
     borel_tail_asymptotic,
@@ -123,13 +122,6 @@ class TestProgenyBatch:
             dtype=np.int64,
         )
         assert ks_2samp(batch, scalar).pvalue > 1e-4
-
-
-class TestProgenyDistribution:
-    def test_wraps_tail_and_sample(self):
-        pd = ProgenyDistribution(0.5, cap=1000)
-        assert pd.tail(1) == 1.0
-        assert pd.sample(rng_for(0)) >= 1
 
 
 class TestSizeBiased:

@@ -12,13 +12,13 @@ from torusgraph.model import (
     WeightSpec,
     c_of_lambda,
     edge_probability,
-    iter_candidate_pairs,
     lambda_N,
     lambda_of_c,
     mean_degree,
     sample_graph,
     sample_graph_reference,
     sample_weights,
+    slot_table,
 )
 
 
@@ -125,21 +125,30 @@ class TestLambda:
             lambda_N(5.0, TorusConfig(4))
 
 
+def all_slots(cfg):
+    """(u, v, r, real) over every slot of the sampler's table."""
+    t = slot_table(cfg)
+    n = cfg.n_vertices
+    key = np.arange(n * len(t.di))
+    u, v, real = t.decode(key)
+    r = np.searchsorted(n * t.ring_start, key, side="right") - 1
+    return u, v, r, real
+
+
 class TestCandidatePopulation:
-    @pytest.mark.parametrize("N", [3, 4, 5, 6, 8, 9])
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 8, 9])
     def test_each_pair_exactly_once(self, N):
         cfg = TorusConfig(N)
         n = N * N
-        seen = {}
-        for a, b, r in iter_candidate_pairs(cfg):
-            key = (min(a, b), max(a, b))
-            assert key not in seen
-            assert a != b
-            seen[key] = r
-        assert len(seen) == n * (n - 1) // 2
-        for (a, b), r in seen.items():
-            u, v = (a // N + 1, a % N + 1), (b // N + 1, b % N + 1)
-            assert torus_distance(u, v, cfg) == r
+        u, v, r, real = all_slots(cfg)
+        u, v, r = u[real], v[real], r[real]
+        assert real.size - u.size == (3 * n // 2 if N % 2 == 0 else 0)
+        assert u.size == n * (n - 1) // 2
+        assert np.all(u != v)
+        key = np.minimum(u, v) * n + np.maximum(u, v)
+        assert np.unique(key).size == key.size
+        for a, b, ring in zip(u.tolist(), v.tolist(), r.tolist()):
+            assert torus_distance((a // N + 1, a % N + 1), (b // N + 1, b % N + 1), cfg) == ring
 
 
 class TestSampleGraph:
@@ -219,10 +228,12 @@ class TestSampleGraph:
         se = means.std(ddof=1) / math.sqrt(reps)
         assert abs(means.mean() - expect) < 3 * se + 1e-9
 
-    def test_per_pair_marginals_exact(self):
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_per_pair_marginals_exact(self, N):
         # every individual pair's empirical edge frequency within
-        # binomial 4 sigma of its exact probability, >= 1e5 seeds
-        N, c, reps = 3, 0.9, 100_000
+        # binomial 4 sigma of its exact probability, >= 1e5 seeds; even
+        # N also covers the self-inverse offsets and their phantom slots
+        c, reps = 0.9, 100_000
         cfg = TorusConfig(N)
         w = WeightSpec.discrete([0.5, 2.0], [0.5, 0.5])
         m = ModelConfig(cfg, c, w)
@@ -267,8 +278,8 @@ class TestSampleGraph:
 
     def test_identical_graphs_under_common_decision_oracle(self):
         # drive the per-pair decisions from one fixed uniform table: the
-        # reference sampler and the fast sampler's pair population must
-        # then produce the same edge set
+        # reference sampler and the fast sampler's real slots must then
+        # produce the same edge set
         N, c = 5, 0.9
         cfg = TorusConfig(N)
         m = ModelConfig(cfg, c, WeightSpec.discrete([1.0, 2.0], [0.5, 0.5]), seed=9)
@@ -283,8 +294,9 @@ class TestSampleGraph:
         g_ref = sample_graph_reference(m, decision=decision)
         wt = g_ref.weights
         edges_fast = set()
-        for a, b, r in iter_candidate_pairs(cfg):
-            p = min(c * wt[a] * wt[b] / (N * r), 1.0)
+        u, v, r, real = all_slots(cfg)
+        for a, b, ring in zip(u[real].tolist(), v[real].tolist(), r[real].tolist()):
+            p = min(c * wt[a] * wt[b] / (N * ring), 1.0)
             if decision(a, b, p):
                 edges_fast.add((min(a, b), max(a, b)))
         assert edges_fast == {(int(a), int(b)) for a, b in g_ref.edges}
