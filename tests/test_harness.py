@@ -138,9 +138,9 @@ class TestRunExperiment:
         plan = ExperimentPlan.from_dict({"N": 30, "lambda": 2.0, "replicates": 3, "seed": 2024})
         rows = run_experiment(plan).points[0].replicate_rows
         assert [(r["seed"], r["C"], r["edges"]) for r in rows] == [
-            (5514401882974304769, 729, 890),
-            (5969099755387220158, 725, 928),
-            (1150912202361056230, 687, 848),
+            (5514401882974304769, 717, 890),
+            (5969099755387220158, 719, 928),
+            (1150912202361056230, 696, 848),
         ]
 
     def test_zero_c_degenerate(self):

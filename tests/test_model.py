@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from torusgraph.errors import ParameterError
-from torusgraph.geometry import TorusConfig, kernel, torus_distance
+from torusgraph.geometry import TorusConfig, kernel, ring_sizes, torus_distance
 from torusgraph.model import (
     Graph,
     ModelConfig,
@@ -228,33 +228,35 @@ class TestSampleGraph:
         se = means.std(ddof=1) / math.sqrt(reps)
         assert abs(means.mean() - expect) < 3 * se + 1e-9
 
-    @pytest.mark.parametrize("N", [3, 4])
-    def test_per_pair_marginals_exact(self, N):
+    @pytest.mark.parametrize("N, w, reps", [
+        pytest.param(3, WeightSpec.discrete([0.5, 2.0], [0.5, 0.5]), 100_000, id="3"),
+        pytest.param(4, WeightSpec.discrete([0.5, 2.0], [0.5, 0.5]), 100_000, id="4"),
+        pytest.param(5, WeightSpec.truncated_exponential(1.0, 8.0), 40_000, id="5"),
+    ])
+    def test_per_pair_marginals_exact(self, N, w, reps):
         # every individual pair's empirical edge frequency within
-        # binomial 4 sigma of its exact probability, >= 1e5 seeds; even
-        # N also covers the self-inverse offsets and their phantom slots
-        c, reps = 0.9, 100_000
+        # binomial 4 sigma of its exact probability.  The discrete law
+        # fills two non-adjacent weight layers, even N covers the
+        # self-inverse offsets and their phantom slots, and the
+        # continuous law spreads the weights over many layers
+        c = 0.9
         cfg = TorusConfig(N)
-        w = WeightSpec.discrete([0.5, 2.0], [0.5, 0.5])
         m = ModelConfig(cfg, c, w)
         n = N * N
-        idx = np.arange(n)
-        i, j = idx // N, idx % N
+        iu, ju = np.triu_indices(n, k=1)
         d = cfg.offset_dist
-        D = d[np.abs(i[:, None] - i[None, :])] + d[np.abs(j[:, None] - j[None, :])]
-        counts = np.zeros((n, n))
-        probs = np.zeros((n, n))
+        scale = c / (N * (d[np.abs(iu // N - ju // N)] + d[np.abs(iu % N - ju % N)]))
+        weights = np.empty((reps, n))
+        keys = []
         for s in range(reps):
             g = sample_graph(m, seed=s)
-            wt = g.weights
-            with np.errstate(divide="ignore"):
-                P = np.minimum(c * np.outer(wt, wt) / (N * D), 1.0)
-            probs += P
-            counts[g.edges[:, 0], g.edges[:, 1]] += 1
-        iu, ju = np.triu_indices(n, k=1)
-        mean_p = probs[iu, ju]
+            weights[s] = g.weights
+            keys.append(g.edges[:, 0] * n + g.edges[:, 1])
+        counts = np.bincount(np.concatenate(keys), minlength=n * n)[iu * n + ju]
+        mean_p = sum(np.minimum(scale * wt[:, iu] * wt[:, ju], 1.0).sum(axis=0)
+                     for wt in np.split(weights, range(5000, reps, 5000)))
         sd = np.sqrt(np.maximum(mean_p, 1e-12))  # sum of p(1-p) <= sum p
-        z = np.abs(counts[iu, ju] - mean_p) / sd
+        z = np.abs(counts - mean_p) / sd
         assert np.all(z < 4.0), z.max()
 
     def test_fast_matches_reference_marginals(self):
@@ -300,6 +302,57 @@ class TestSampleGraph:
             if decision(a, b, p):
                 edges_fast.add((min(a, b), max(a, b)))
         assert edges_fast == {(int(a), int(b)) for a, b in g_ref.edges}
+
+    # a zero weight, or an all-zero law's B = 0, must map to a layer without
+    # a division by zero or a nan cast to an integer
+    @pytest.mark.filterwarnings("error")
+    def test_zero_weights_give_no_edges(self):
+        g = sample_graph(ModelConfig(TorusConfig(10), 2.0, WeightSpec.constant(0.0), seed=1))
+        assert g.edge_count == 0 and g.proposals == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_weight_vertices_stay_isolated(self):
+        m = ModelConfig(TorusConfig(20), 1.0, WeightSpec.discrete([0.0, 2.0], [0.5, 0.5]))
+        for s in range(20):
+            g = sample_graph(m, seed=s)
+            assert g.edge_count > 0
+            assert np.all(g.weights[g.edges] > 0)
+
+    @pytest.mark.parametrize("values", [[0.0, 2.0], [1.5, 2.0]])
+    def test_mean_edge_count_weighted(self, values):
+        # [0, 2]: zero weights in the lowest layer; [1.5, 2]: one layer
+        # with thinning.  Exact law of the count when no p(u,v) is capped
+        # (here c B^2 / N = 0.1): a sum of Bernoulli(a_uv W_u W_v), with
+        # a_uv = c / (N d(u,v)), D = sum_v a_uv and A2 = sum_v a_uv^2;
+        # the variance's second term is from pairs of pairs sharing a vertex
+        N, c, reps = 20, 0.5, 200
+        cfg = TorusConfig(N)
+        w = WeightSpec.discrete(values, [0.5, 0.5])
+        m = ModelConfig(cfg, c, w)
+        n = cfg.n_vertices
+        D = mean_degree(c, cfg)
+        A2 = float((ring_sizes(cfg) * (c / (N * np.arange(1.0, N + 1))) ** 2).sum())
+        ew2, var_w = w.mean**2, w.second_moment - w.mean**2
+        mean = n / 2 * D * ew2
+        var = n / 2 * (D * ew2 - A2 * ew2 * ew2) + n * (D * D - A2) * ew2 * var_w
+        counts = np.array([sample_graph(m, seed=s).edge_count for s in range(reps)])
+        assert abs(counts.mean() - mean) < 5 * math.sqrt(var / reps)
+
+    def test_layered_proposals_per_edge(self):
+        # weight layers propose at about 11 slots per edge, where one cap
+        # at B^2 for every slot needed about 62
+        m = ModelConfig.from_lambda(100, 0.3, WeightSpec.truncated_exponential(1.0, 8.0))
+        graphs = [sample_graph(m, seed=s) for s in range(5)]
+        edges = sum(g.edge_count for g in graphs)
+        assert sum(g.proposals for g in graphs) < 20 * edges
+
+    @pytest.mark.parametrize("N", [30, 31])
+    def test_constant_weights_propose_one_slot_per_edge(self, N):
+        # no thinning: every proposed real slot is an edge, and only even N
+        # has phantom slots (3n/2 of them) to propose besides
+        g = sample_graph(ModelConfig.from_lambda(N, 2.0, seed=3))
+        assert 0 <= g.proposals - g.edge_count <= (3 * N * N // 2 if N % 2 == 0 else 0)
+        assert g.edge_count > 0
 
     def test_unbounded_weight_cap_uses_realized_max(self):
         # continuous weights: thinning stays exact with the per-sample cap
