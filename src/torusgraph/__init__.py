@@ -18,7 +18,6 @@ from .model import (
     lambda_N,
     sample_graph,
     sample_graph_reference,
-    sample_weights,
 )
 from .components import (
     ComponentSummary,
@@ -65,7 +64,6 @@ __all__ = [
     "lambda_N",
     "sample_graph",
     "sample_graph_reference",
-    "sample_weights",
     "ComponentSummary",
     "ExplorationTrace",
     "largest_component",

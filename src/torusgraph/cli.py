@@ -104,6 +104,8 @@ def main(argv=None) -> int:
     if args.command == "branching":
         rng = np.random.Generator(np.random.Philox(args.seed or 0))
         if args.check == "borel":
+            if not 0 < args.lambda_prime < 1:  # the Borel law needs a subcritical tree
+                ap.error(f"--lambda-prime must lie in (0, 1), got {args.lambda_prime}")
             sizes = poisson_gw_progeny_batch(args.lambda_prime, args.samples, args.cap, rng)
             ok = True
             for k in range(1, args.kmax + 1):

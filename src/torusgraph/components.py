@@ -17,7 +17,6 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .geometry import torus_distance
 from .model import Graph
 
 
@@ -54,7 +53,6 @@ class TraceStep:
 class ExplorationTrace:
     start: int
     steps: list[TraceStep] = field(default_factory=list)
-    ring_counts: list[dict[int, int]] | None = None
 
     @property
     def T(self) -> int:
@@ -70,8 +68,7 @@ class ExplorationTrace:
         )
 
 
-def explore_component(g: Graph, v: int, rng: np.random.Generator,
-                      record_rings: bool = False) -> ExplorationTrace:
+def explore_component(g: Graph, v: int, rng: np.random.Generator) -> ExplorationTrace:
     """Reveal the component of v by the active/saturated/neutral procedure.
 
     At each step one active vertex is chosen uniformly at random and its
@@ -85,7 +82,7 @@ def explore_component(g: Graph, v: int, rng: np.random.Generator,
     status = np.zeros(g.n_vertices, dtype=np.int8)  # 0 neutral, 1 active, 2 saturated
     status[v] = 1
     active = [int(v)]
-    trace = ExplorationTrace(start=int(v), ring_counts=[] if record_rings else None)
+    trace = ExplorationTrace(start=int(v))
     i = 0
     while active:
         i += 1
@@ -98,24 +95,7 @@ def explore_component(g: Graph, v: int, rng: np.random.Generator,
             status[u] = 1
         active.extend(newly)
         trace.steps.append(TraceStep(i=i, active=len(active), activated=len(newly), chosen=vi))
-        if record_rings:
-            cfg = _torus_of(g)
-            per_ring: dict[int, int] = {}
-            for u in newly:
-                r = torus_distance(g.index_vertex(vi), g.index_vertex(u), cfg)
-                per_ring[r] = per_ring.get(r, 0) + 1
-            trace.ring_counts.append(per_ring)
     return trace
-
-
-def _torus_of(g: Graph):
-    from .geometry import TorusConfig
-
-    cfg = getattr(g, "_torus_cfg", None)
-    if cfg is None:
-        cfg = TorusConfig(g.N)
-        g._torus_cfg = cfg
-    return cfg
 
 
 def component_decomposition(g: Graph, rng: np.random.Generator) -> list[ExplorationTrace]:

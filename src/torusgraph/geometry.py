@@ -18,7 +18,10 @@ ContinuousPoint = tuple[float, float]
 
 
 class TorusConfig:
-    """Side length N plus cached offset tables for ring enumeration."""
+    """Side length N and the folded distance of a coordinate offset.
+
+    Cheap to build: the sampler's ring table lives in `model.slot_table`,
+    cached there once per N."""
 
     def __init__(self, N: int):
         if N <= 1:
@@ -29,8 +32,6 @@ class TorusConfig:
         # N both branches give N/2 at i = N/2.  |u1 - v1| <= N - 1, so
         # offsets 0..N-1 cover every coordinate difference.
         self.offset_dist = np.where(2 * i <= self.N, i, self.N - i).astype(np.int64)
-        self._ring_offsets_cache: dict[int, np.ndarray] | None = None
-        self._slot_table = None  # model.SlotTable, built on the first sample
 
     @property
     def n_vertices(self) -> int:
@@ -40,25 +41,6 @@ class TorusConfig:
     def max_dist(self) -> int:
         """Largest r with ring_size(r) > 0."""
         return self.N if self.N % 2 == 0 else 2 * (self.N // 2)
-
-    def _ring_offsets(self) -> dict[int, np.ndarray]:
-        """Map r -> array of coordinate offsets (di, dj), di,dj in {0..N-1},
-        whose folded distance sums to r.  Built once, O(N^2) total."""
-        if self._ring_offsets_cache is None:
-            N = self.N
-            d = self.offset_dist
-            di, dj = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-            dist = d[di] + d[dj]
-            offs: dict[int, np.ndarray] = {}
-            flat = np.stack([di.ravel(), dj.ravel()], axis=1)
-            order = np.argsort(dist.ravel(), kind="stable")
-            sorted_dist = dist.ravel()[order]
-            sorted_offs = flat[order]
-            bounds = np.searchsorted(sorted_dist, np.arange(0, self.max_dist + 2))
-            for r in range(1, self.max_dist + 1):
-                offs[r] = sorted_offs[bounds[r]:bounds[r + 1]]
-            self._ring_offsets_cache = offs
-        return self._ring_offsets_cache
 
     def __repr__(self) -> str:
         return f"TorusConfig(N={self.N})"
@@ -109,11 +91,9 @@ def ring_vertices(u: Vertex, r: int, cfg: TorusConfig) -> list[Vertex]:
     _check_vertex(u, cfg.N)
     if not 1 <= r <= cfg.N:
         raise ValueError(f"ring index r={r} outside [1, {cfg.N}]")
-    if r > cfg.max_dist:
-        return []
-    N = cfg.N
-    offs = cfg._ring_offsets()[r]
-    return [(int((u[0] - 1 + di) % N) + 1, int((u[1] - 1 + dj) % N) + 1) for di, dj in offs]
+    N, d = cfg.N, cfg.offset_dist
+    di, dj = np.nonzero(d[:, None] + d[None, :] == r)  # offsets in {0..N-1}^2 at distance r
+    return [(int(a) + 1, int(b) + 1) for a, b in zip((u[0] - 1 + di) % N, (u[1] - 1 + dj) % N)]
 
 
 def continuous_rho(p: ContinuousPoint, q: ContinuousPoint) -> float:

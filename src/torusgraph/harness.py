@@ -9,8 +9,8 @@ replicates are scheduled across workers.
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import functools
 import io
 import json
 import math
@@ -27,13 +27,7 @@ from .branching import binomial_poisson_tv
 
 ESTIMATORS = ("C_over_N2", "C_over_logN2")
 
-
-# ---------------------------------------------------------------------------
-# weight spec <-> config dict (the JSON form is owned by WeightSpec)
-# ---------------------------------------------------------------------------
-
-weights_from_dict = WeightSpec.from_dict
-weights_to_dict = WeightSpec.to_dict
+weights_from_dict = WeightSpec.from_dict  # the JSON form is owned by WeightSpec
 
 
 # ---------------------------------------------------------------------------
@@ -113,15 +107,9 @@ def replicate_seed(root: int, point_index: int, rep: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-@functools.lru_cache(maxsize=4)
-def _torus(N: int) -> TorusConfig:
-    """One TorusConfig per N and process, so its ring tables are built once."""
-    return TorusConfig(N)
-
-
 def _replicate_task(args) -> tuple[int, int, int]:
     N, c, weights_dict, seed = args
-    m = ModelConfig(_torus(N), c, weights_from_dict(weights_dict), seed)
+    m = ModelConfig(TorusConfig(N), c, weights_from_dict(weights_dict), seed)
     g = sample_graph(m)
     return largest_component(g).largest, g.edge_count, seed
 
@@ -215,41 +203,42 @@ def theory_target(estimator: str, report: TheoryReport) -> float | None:
 def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
     """Run every sweep point; deterministic given the plan and root seed.
 
-    Replicates fan out over `threads` worker processes; rows are reduced
-    in replicate order regardless of completion order (executor.map
-    preserves input order).
+    Replicates fan out over `threads` worker processes, one pool for the
+    whole run, so each worker builds its slot tables once per N; rows are
+    reduced in replicate order regardless of completion order
+    (executor.map preserves input order).
     """
-    points: list[PointResult] = []
-    for pi, p in enumerate(plan.sweep):
-        spec = p.weight_spec()
-        report = build_report(p.lam, spec)
-        warnings: list[str] = []
-        bound = spec.support_bound
-        if p.c * bound * bound / p.N >= 1.0:
-            warnings.append("edge probability capped at distance 1; theory assumes p_r < 1")
-        tasks = [
-            (p.N, p.c, p.weights, replicate_seed(plan.seed, pi, rep))
-            for rep in range(plan.replicates)
-        ]
-        if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as ex:
-                raw = list(ex.map(_replicate_task, tasks))
-        else:
-            raw = [_replicate_task(t) for t in tasks]
-        rows = []
-        for rep, (C, edges, seed) in enumerate(raw):
-            rows.append(
-                {"replicate": rep, "seed": seed, "C": C, "edges": edges,
-                 "value": estimator_value(plan.estimator, C, p.N)}
-            )
-        values = np.array([r["value"] for r in rows])
-        mean = float(values.mean())
-        std = float(values.std(ddof=1)) if len(values) > 1 else 0.0
-        se = std / math.sqrt(len(values)) if len(values) > 1 else 0.0
-        target = theory_target(plan.estimator, report)
-        z = (mean - target) / se if (target is not None and se > 0) else None
-        points.append(PointResult(p, rows, mean, std, se, target, z, warnings))
+    pool = ProcessPoolExecutor(max_workers=threads) if threads > 1 else None
+    run = pool.map if pool else map
+    with pool or contextlib.nullcontext():
+        points = [_run_point(plan, pi, p, run) for pi, p in enumerate(plan.sweep)]
     return ExperimentResult(plan, points)
+
+
+def _run_point(plan: ExperimentPlan, pi: int, p: SweepPoint, run) -> PointResult:
+    """Replicates of sweep point `pi`, mapped with `run`, and their summary."""
+    spec = p.weight_spec()
+    report = build_report(p.lam, spec)
+    warnings: list[str] = []
+    bound = spec.support_bound
+    if p.c * bound * bound / p.N >= 1.0:
+        warnings.append("edge probability capped at distance 1; theory assumes p_r < 1")
+    tasks = [
+        (p.N, p.c, p.weights, replicate_seed(plan.seed, pi, rep))
+        for rep in range(plan.replicates)
+    ]
+    rows = [
+        {"replicate": rep, "seed": seed, "C": C, "edges": edges,
+         "value": estimator_value(plan.estimator, C, p.N)}
+        for rep, (C, edges, seed) in enumerate(run(_replicate_task, tasks))
+    ]
+    values = np.array([r["value"] for r in rows])
+    mean = float(values.mean())
+    std = float(values.std(ddof=1)) if len(values) > 1 else 0.0
+    se = std / math.sqrt(len(values)) if len(values) > 1 else 0.0
+    target = theory_target(plan.estimator, report)
+    z = (mean - target) / se if (target is not None and se > 0) else None
+    return PointResult(p, rows, mean, std, se, target, z, warnings)
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,18 @@ probability min{c * W_u W_v / (N d(u,v)), 1}.  Naive pair-by-pair
 sampling is O(N^4); the fast path works on slots.  A slot pairs a vertex
 u with one offset o out of H, which holds one of each {o, -o}, sorted by
 distance ring; its key is o * n + u, so each ring owns one contiguous
-key range and one decoder serves every ring.  Every unordered pair is
-exactly one real slot.  A self-inverse offset (o == -o, even N only)
-also yields a mirrored phantom slot per pair, which is proposed like any
-other and then dropped.  Vertices are grouped into dyadic weight layers
-of the largest sampled weight B, and the slots of each (ring, layer)
-group are proposed at the group's cap, the largest weight of the layer
-times B.  One random stream per graph draws the weights, a Binomial
-proposal count per group, distinct slots per chunk of groups, and the
-thinning of each proposal by its actual weight product, so the sampled
-law is exact, not approximate.
+key range and one decoder serves every ring.  This slot table is the
+package's only ring table, cached once per N and process by
+`slot_table`.  Every unordered pair is exactly one real slot.  A
+self-inverse offset (o == -o, even N only) also yields a mirrored
+phantom slot per pair, which is proposed like any other and then
+dropped.  Vertices are grouped into dyadic weight layers of the
+largest sampled weight B, and the slots of each (ring, layer) group are
+proposed at the group's cap, the largest weight of the layer times B.
+One random stream per graph draws the weights, a Binomial proposal
+count per group, distinct slots per chunk of groups, and the thinning
+of each proposal by its actual weight product, so the sampled law is
+exact, not approximate.
 """
 
 from __future__ import annotations
@@ -210,11 +212,6 @@ class WeightSpec:
             pairs = dict(zip(self._data["values"], self._data["probs"]))
             return f"WeightSpec.discrete({pairs})"
         return f"WeightSpec.continuous([{self._data['lo']}, {self._data['hi']}])"
-
-
-def sample_weights(spec: WeightSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. draws of W."""
-    return spec.sample(n, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +411,10 @@ class SlotTable:
         return u, v, (u < v) | ~self.self_inverse[o]
 
 
-def slot_table(cfg: TorusConfig) -> SlotTable:
-    """The slot table of `cfg`, built once and cached on it."""
-    if cfg._slot_table is None:
-        cfg._slot_table = SlotTable(cfg)
-    return cfg._slot_table
+@functools.lru_cache(maxsize=4)
+def slot_table(N: int) -> SlotTable:
+    """The slot table of the N-torus, built once per N and process."""
+    return SlotTable(TorusConfig(N))
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +491,7 @@ def sample_graph(m: ModelConfig, seed: int | None = None) -> Graph:
     cfg = m.torus
     N, n = cfg.N, cfg.n_vertices
     rng = np.random.Generator(np.random.Philox(m.seed if seed is None else seed))
-    weights = sample_weights(m.weights, n, rng)
+    weights = m.weights.sample(n, rng)
     B, low = float(weights.max()), float(weights.min())
 
     if low == B or 2 * low > B:  # one layer: equal weights (zero included) or all above B/2
@@ -509,7 +505,7 @@ def sample_graph(m: ModelConfig, seed: int | None = None) -> Graph:
     top = np.array([B]) if order is None else np.maximum.reduceat(weights[order], base)
 
     # groups (ring, layer), ring-major; group g owns the keys [start[g], start[g] + size[g])
-    slots = slot_table(cfg)
+    slots = slot_table(N)
     H = slots.ring_len[:, None]
     size = (H * sizes).ravel()
     start = (n * slots.ring_start[1:-1, None] + H * base).ravel()
@@ -566,7 +562,7 @@ def sample_graph_reference(m: ModelConfig, seed: int | None = None,
     if n > 4096 and decision is None:
         raise ParameterError("reference sampler is O(N^4); use sample_graph for N > 64")
     rng = np.random.Generator(np.random.Philox(m.seed if seed is None else seed))
-    weights = sample_weights(m.weights, n, rng)
+    weights = m.weights.sample(n, rng)
 
     d = cfg.offset_dist
     idx = np.arange(n)

@@ -119,13 +119,6 @@ class TestExploration:
         tr = explore_component(g, (1, 1), rng_for(0))
         assert tr.start == 0 and tr.T == 2
 
-    def test_ring_counts_flag(self):
-        g = sample_graph(ModelConfig(TorusConfig(5), 1.5, seed=2))
-        tr = explore_component(g, 0, rng_for(0), record_rings=True)
-        assert len(tr.ring_counts) == tr.T
-        for step, per_ring in zip(tr.steps, tr.ring_counts):
-            assert sum(per_ring.values()) == step.activated
-
     def test_jsonl_dump(self):
         g = make_graph(2, [(0, 1), (1, 2)])
         tr = explore_component(g, 0, rng_for(1))

@@ -145,7 +145,7 @@ class TestRingVertices:
     def test_four_axis_neighbors(self, N):
         assert len(ring_vertices((2, 2), 1, TorusConfig(N))) == 4
 
-    @pytest.mark.parametrize("N,u", [(5, (3, 4)), (6, (1, 6)), (9, (5, 5))])
+    @pytest.mark.parametrize("N,u", [(5, (3, 4)), (6, (1, 6)), (9, (5, 5)), (2, (1, 2)), (4, (2, 3))])
     def test_matches_brute_force(self, N, u):
         cfg = TorusConfig(N)
         for r in range(1, N + 1):

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from torusgraph.harness import (
     verify_coupling,
     verify_theory,
     weights_from_dict,
-    weights_to_dict,
 )
 from torusgraph.model import WeightSpec, c_of_lambda, lambda_of_c
 
@@ -38,7 +38,7 @@ class TestWeightsDict:
     def test_discrete_roundtrip(self):
         d = {"kind": "discrete", "values": [1.0, 2.0], "probs": [0.5, 0.5]}
         w = weights_from_dict(d)
-        assert weights_to_dict(w) == d
+        assert w.to_dict() == d
 
     def test_truncated_exponential(self):
         w = weights_from_dict({"kind": "truncated_exponential", "rate": 1.0, "upper": 4.0})
@@ -55,22 +55,22 @@ class TestWeightsDict:
     ])
     def test_roundtrip_every_kind(self, d):
         w = weights_from_dict(d)
-        assert weights_to_dict(w) == d
-        back = weights_from_dict(json.loads(json.dumps(weights_to_dict(w))))
+        assert w.to_dict() == d
+        back = weights_from_dict(json.loads(json.dumps(w.to_dict())))
         assert back.kind == w.kind
         assert back.support_bound == w.support_bound
         assert back.mean == w.mean and back.second_moment == w.second_moment
 
     def test_truncated_exponential_defaults_roundtrip(self):
         w = weights_from_dict({"kind": "truncated_exponential"})
-        d = weights_to_dict(w)
+        d = w.to_dict()
         assert d == {"kind": "truncated_exponential", "rate": 1.0, "upper": 8.0, "n_nodes": 400}
-        assert weights_to_dict(weights_from_dict(d)) == d
+        assert weights_from_dict(d).to_dict() == d
 
     def test_user_density_has_no_dict_form(self):
         w = WeightSpec.continuous(lambda x: np.full_like(x, 0.5), 0.0, 2.0)
         with pytest.raises(ParameterError):
-            weights_to_dict(w)
+            w.to_dict()
 
 
 class TestPlanParsing:
@@ -131,17 +131,26 @@ class TestRunExperiment:
         parallel = run_experiment(small_plan(), threads=2).to_csv()
         assert serial == parallel
 
-    def test_pinned_rows(self):
-        # (seed, C, edges) per replicate as literals: any change to the
-        # seeding, the random stream, the sampled edges or the component
-        # sizes shows here
-        plan = ExperimentPlan.from_dict({"N": 30, "lambda": 2.0, "replicates": 3, "seed": 2024})
-        rows = run_experiment(plan).points[0].replicate_rows
-        assert [(r["seed"], r["C"], r["edges"]) for r in rows] == [
+    @pytest.mark.parametrize("plan,expected", [
+        ({"N": 30, "lambda": 2.0, "replicates": 3, "seed": 2024}, [
             (5514401882974304769, 717, 890),
             (5969099755387220158, 719, 928),
             (1150912202361056230, 696, 848),
-        ]
+        ]),
+        # odd N and weights spread over several layers: the layered decode
+        ({"N": 31, "lambda": 0.6, "replicates": 3, "seed": 2024,
+          "weights": {"kind": "truncated_exponential", "rate": 1.0, "upper": 8.0}}, [
+            (5514401882974304769, 86, 262),
+            (5969099755387220158, 69, 273),
+            (1150912202361056230, 101, 264),
+        ]),
+    ], ids=["N30-constant", "N31-truncexp"])
+    def test_pinned_rows(self, plan, expected):
+        # (seed, C, edges) per replicate as literals: any change to the
+        # seeding, the random stream, the sampled edges or the component
+        # sizes shows here
+        rows = run_experiment(ExperimentPlan.from_dict(plan)).points[0].replicate_rows
+        assert [(r["seed"], r["C"], r["edges"]) for r in rows] == expected
 
     def test_zero_c_degenerate(self):
         # empty graph: every component is a single vertex, C/N^2 = 1/N^2
@@ -263,6 +272,18 @@ class TestCLI:
                        "--samples", "20000", "--kmax", "5"])
         assert rc == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("lam", ["1.5", "1.0", "0", "-0.5"])
+    def test_branching_borel_rejects_supercritical(self, lam, capsys):
+        # a tree with lambda' >= 1 may never end; the command must refuse
+        # it at once instead of sampling until the cap
+        t0 = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["branching", "--check", "borel", "--lambda-prime", lam,
+                      "--samples", "2000", "--cap", "1000"])
+        assert exc.value.code == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "--lambda-prime" in capsys.readouterr().err
 
     def test_export_graph(self, tmp_path, capsys):
         prefix = tmp_path / "g"

@@ -17,7 +17,6 @@ from torusgraph.model import (
     mean_degree,
     sample_graph,
     sample_graph_reference,
-    sample_weights,
     slot_table,
 )
 
@@ -30,7 +29,7 @@ class TestWeightSpec:
     def test_constant(self):
         w = WeightSpec.constant(2.0)
         assert w.mean == 2.0 and w.second_moment == 4.0 and w.support_bound == 2.0
-        assert list(sample_weights(w, 5, rng_for(0))) == [2.0] * 5
+        assert list(w.sample(5, rng_for(0))) == [2.0] * 5
 
     def test_discrete_moments(self):
         w = WeightSpec.discrete([1.0, 2.0], [0.5, 0.5])
@@ -46,13 +45,13 @@ class TestWeightSpec:
 
     def test_discrete_lln(self):
         w = WeightSpec.discrete([1.0, 2.0], [0.5, 0.5])
-        x = sample_weights(w, 10**5, rng_for(1))
+        x = w.sample(10**5, rng_for(1))
         # 3 sigma CLT band: sd = 0.5 / sqrt(1e5)
         assert abs(x.mean() - 1.5) < 0.02
 
     def test_empty_draw(self):
         w = WeightSpec.discrete([1.0, 2.0], [0.5, 0.5])
-        assert sample_weights(w, 0, rng_for(0)).size == 0
+        assert w.sample(0, rng_for(0)).size == 0
 
     def test_truncated_exponential(self):
         w = WeightSpec.truncated_exponential(rate=1.0, upper=8.0)
@@ -60,7 +59,7 @@ class TestWeightSpec:
         Z = 1 - math.exp(-8)
         mean = (1 - 9 * math.exp(-8)) / Z
         assert w.mean == pytest.approx(mean, rel=1e-10)
-        x = sample_weights(w, 10**5, rng_for(2))
+        x = w.sample(10**5, rng_for(2))
         assert np.all((0 <= x) & (x <= 8))
         assert abs(x.mean() - mean) < 0.02
 
@@ -127,7 +126,7 @@ class TestLambda:
 
 def all_slots(cfg):
     """(u, v, r, real) over every slot of the sampler's table."""
-    t = slot_table(cfg)
+    t = slot_table(cfg.N)
     n = cfg.n_vertices
     key = np.arange(n * len(t.di))
     u, v, real = t.decode(key)
