@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
-from scipy.stats import binom, poisson
 
 from .errors import RegimeError
 from .model import WeightSpec
@@ -105,42 +104,56 @@ def poisson_gw_progeny_batch(lambda_prime: float, n: int, cap: int,
 
     Uses the random-walk representation: with i.i.d. offspring draws
     X_1, X_2, ..., tree boundaries are the successive first-passage
-    times of cumsum(X - 1) through -1, -2, ...; abandoning a tree once
-    it consumes more than `cap` draws leaves the remaining stream fresh.
+    times of cumsum(X - 1) through -1, -2, ...  A tree is abandoned at
+    its (cap+1)-th draw and the next tree starts at the following draw;
+    that draw is a stopping time, so the remaining stream stays fresh.
+    The walk is scanned in windows of min(8192, 16 * (cap + 1)) draws, so
+    an abandonment costs one window whatever the chunk size.
     Returns an int64 array with -1 marking abandoned (EXCEEDED) trees.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     out = np.empty(n, dtype=np.int64)
     filled = 0
-    g_last = 0          # walk value at the end of the consumed stream
-    m_last = 0          # walk value at the last tree boundary
-    since_boundary = 0  # draws consumed by the current (incomplete) tree
+    x = np.empty(0, dtype=np.int64)
+    pos = 0    # first unscanned draw of x
+    g = 0      # walk value before draw pos
+    level = 0  # the current tree ends when the walk first drops below this
+    used = 0   # draws of the current (open) tree before the scanned window
     mean_size = 1.0 / max(1.0 - lambda_prime, 1e-3)
+    window = min(8192, 16 * (cap + 1))
     while filled < n:
-        chunk = int(min(max((n - filled) * mean_size * 1.3 + 4096, 8192), 2**24))
-        x = rng.poisson(lambda_prime, size=chunk)
-        c = g_last + np.cumsum(x - 1, dtype=np.int64)
-        mins = np.minimum.accumulate(np.minimum(c, m_last))
-        prev = np.concatenate(([m_last], mins[:-1]))
-        bnd = np.flatnonzero(mins < prev)
-        prev_b = -1  # chunk-local index of the previous boundary
-        for b in bnd:
-            size = since_boundary + (b - prev_b)
+        if pos == x.size:
+            chunk = int(min(max((n - filled) * mean_size * 1.3 + 4096, 8192), 2**24))
+            x = rng.poisson(lambda_prime, size=chunk)
+            pos = 0
+        c = g + np.cumsum(x[pos:pos + window] - 1, dtype=np.int64)
+        mins = np.minimum.accumulate(np.minimum(c, level))
+        prev = np.concatenate(([level], mins[:-1]))
+        prev_b = -1  # window-local index of the previous boundary
+        # c.size stands for the window end, which the open tree reaches
+        for b in [*np.flatnonzero(mins < prev).tolist(), c.size]:
+            p = prev_b + cap + 1 - used  # window-local index of the tree's (cap+1)-th draw
+            if p < b:
+                out[filled] = -1
+                filled += 1
+                pos += p + 1
+                g = level = int(c[p])
+                used = 0
+                break
+            if b == c.size:
+                used += b - 1 - prev_b
+                pos += b
+                g = int(c[-1])
+                level = int(mins[-1])
+                break
+            size = used + b - prev_b
             out[filled] = size if size <= cap else -1
             filled += 1
-            since_boundary = 0
+            used = 0
             prev_b = b
             if filled == n:
                 return out
-        since_boundary += chunk - 1 - prev_b
-        g_last = int(c[-1])
-        m_last = int(mins[-1])
-        if since_boundary > cap:
-            out[filled] = -1
-            filled += 1
-            since_boundary = 0
-            m_last = g_last  # restart level tracking below the current walk value
     return out
 
 
@@ -236,12 +249,15 @@ def binomial_poisson_tv(n: int, lam: float) -> float:
     """Exact total-variation distance between Bin(n, lam/n) and Po(lam).
 
     The coupling bound P(X != Y) <= lam^2 / n dominates it; asserted
-    here so every call re-certifies the inequality.
+    here so every call re-certifies the inequality.  scipy.stats is
+    imported here, not at module level, so that only the commands that
+    call this function pay for loading it.
     """
     if lam < 0 or lam > n:
         raise ValueError(f"need 0 <= lambda <= n, got lambda={lam}, n={n}")
     if lam == 0:
         return 0.0
+    from scipy.stats import binom, poisson  # ~0.6 s and ~21 MB on first import
     k = np.arange(0, n + 1)
     b = binom.pmf(k, n, lam / n)
     q = poisson.pmf(k, lam)

@@ -15,7 +15,6 @@ import json
 import sys
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .branching import EXCEEDED, borel_tail, poisson_gw_progeny_batch, simulate_B1, simulate_B2, size_biased
 from .geometry import TorusConfig
@@ -118,6 +117,10 @@ def main(argv=None) -> int:
                       f"|z|={abs(mc - exact) / sigma:5.2f}  {'ok' if passed else 'FAIL'}")
             return 0 if ok else 1
         spec = weights_from_dict(_parse_weights(args.weights))
+        mean_offspring = args.lam * spec.second_moment  # B2's offspring mean
+        if not 0 <= mean_offspring < 1:  # otherwise a tree may never end
+            ap.error(f"--lambda must give 0 <= lambda * E(W^2) < 1, got {args.lam} * "
+                     f"{spec.second_moment:g} = {mean_offspring:g}")
         tilde = size_biased(spec)
         s1, s2 = [], []
         for _ in range(args.samples):
@@ -127,6 +130,7 @@ def main(argv=None) -> int:
         for _ in range(args.samples):
             t = simulate_B2(args.lam, spec, args.cap, rng)
             s2.append(args.cap + 1 if t is EXCEEDED else t)
+        from scipy.stats import ks_2samp  # ~0.6 s and ~21 MB on first import
         stat, pval = ks_2samp(s1, s2)
         print(f"two-sample KS: D={stat:.5f}  p={pval:.4f}  "
               f"{'ok' if pval > 0.01 else 'FAIL'} (1% level)")

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -122,6 +123,25 @@ class TestProgenyBatch:
             dtype=np.int64,
         )
         assert ks_2samp(batch, scalar).pvalue > 1e-4
+
+    def test_supercritical_abandons_at_cap(self):
+        # a tree that never ends is abandoned after cap + 1 draws, so the
+        # cost is linear in n; conditioned on extinction, a Po(lp) tree is
+        # a Po(lp * q) tree with q = 1 - beta
+        lp, n, cap = 1.5, 2000, 1000
+        t0 = time.perf_counter()
+        sizes = poisson_gw_progeny_batch(lp, n, cap, rng_for(13))
+        assert time.perf_counter() - t0 < 2.0
+        beta = supercritical_beta(lp)
+        exceeded = sizes == -1
+        se = math.sqrt(beta * (1 - beta) / n)
+        assert abs(exceeded.mean() - beta) < 4 * se
+        finite = sizes[~exceeded]
+        for k in (2, 3, 8):
+            frac = (finite >= k).mean()
+            target = borel_tail(lp * (1 - beta), k)
+            se = math.sqrt(target * (1 - target) / finite.size)
+            assert abs(frac - target) < 4.5 * se + 1e-9
 
 
 class TestSizeBiased:

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,6 +289,29 @@ class TestCLI:
         assert time.perf_counter() - t0 < 1.0
         assert "--lambda-prime" in capsys.readouterr().err
 
+    def test_branching_identity(self, capsys):
+        rc = cli_main(["branching", "--check", "identity", "--lambda", "0.3",
+                       "--samples", "2000"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.startswith("two-sample KS") and out.rstrip().endswith("ok (1% level)")
+
+    @pytest.mark.parametrize("lam, weights", [
+        ("1.5", None),
+        ("0.4", '{"kind": "discrete", "values": [1.0, 2.0], "probs": [0.5, 0.5]}'),
+    ])
+    def test_branching_identity_rejects_supercritical(self, lam, weights, capsys):
+        # lambda * E(W^2) >= 1: nearly every tree would run to the cap
+        argv = ["branching", "--check", "identity", "--lambda", lam, "--samples", "40"]
+        if weights is not None:
+            argv += ["--weights", weights]
+        t0 = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "--lambda" in capsys.readouterr().err
+
     def test_export_graph(self, tmp_path, capsys):
         prefix = tmp_path / "g"
         rc = cli_main(["export-graph", "--N", "8", "--lambda", "2.0",
@@ -298,3 +325,18 @@ class TestCLI:
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit):
             cli_main([])
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs ~0.6 s and ~21 MB per process; only verify and
+    # branching --check identity load it, on first use
+    code = (
+        "import sys, torusgraph, torusgraph.cli\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded at import'\n"
+        "from torusgraph.branching import binomial_poisson_tv\n"
+        "print(repr(binomial_poisson_tv(10, 0.5)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0.011859375005987985"
