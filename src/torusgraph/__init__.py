@@ -39,8 +39,7 @@ from .theory import (
 from .branching import (
     EXCEEDED,
     borel_tail,
-    simulate_poisson_gw,
-    poisson_gw_progeny_batch,
+    progeny_batch,
     size_biased,
     simulate_B1,
     simulate_B2,
@@ -79,8 +78,7 @@ __all__ = [
     "build_report",
     "EXCEEDED",
     "borel_tail",
-    "simulate_poisson_gw",
-    "poisson_gw_progeny_batch",
+    "progeny_batch",
     "size_biased",
     "simulate_B1",
     "simulate_B2",

@@ -1,16 +1,21 @@
 """Branching-process oracles and simulators.
 
-Total progeny of a Poisson(lambda') Galton-Watson tree follows the
-Borel distribution; its tail is the analytic oracle against which the
-simulators are checked.  The multi-type process B1(x) (offspring count
-Po(lambda * x * EW), child types i.i.d. size-biased W) and the
-homogeneous compound-Poisson process B2 have identical total-progeny
-laws when B1's root type is itself size-biased, which is what links the
-weighted graph to a scalar survival criterion.
+The multi-type process B1(x) (offspring count Po(lambda * x * EW),
+child types i.i.d. size-biased W) and the homogeneous mixed-Poisson
+process B2 (offspring count Po(lambda * EW * Wtilde), Wtilde size-biased)
+have identical total-progeny laws when B1's root type is itself
+size-biased, which is what links the weighted graph to a scalar
+survival criterion.
+
+One random walk, `progeny_batch`, draws B2's total progeny; with W == 1
+it is the Poisson(lambda) Galton-Watson tree, whose Borel tail is the
+analytic oracle.  `simulate_B1` stays generation by generation, as the
+independent algorithm the identity is checked against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -78,29 +83,12 @@ def borel_tail_asymptotic(lambda_prime: float, k: int) -> float:
             return total
 
 
-def simulate_poisson_gw(lambda_prime: float, cap: int, rng: np.random.Generator):
-    """Total progeny of one Poisson(lambda') GW tree, or EXCEEDED.
-
-    Generation sums of i.i.d. Poisson variables collapse to a single
-    Poisson draw per generation.
-    """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    if lambda_prime < 0:
-        raise ValueError("intensity must be nonnegative")
-    total = 1
-    frontier = 1
-    while frontier:
-        frontier = int(rng.poisson(lambda_prime * frontier))
-        total += frontier
-        if total > cap:
-            return EXCEEDED
-    return total
-
-
-def poisson_gw_progeny_batch(lambda_prime: float, n: int, cap: int,
-                             rng: np.random.Generator) -> np.ndarray:
-    """Total progeny of n independent Poisson(lambda') GW trees.
+def progeny_batch(lam: float, w: WeightSpec, n: int, cap: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Total progeny of n independent B2 trees: every individual has
+    Po(lam * EW * Wtilde) children, with a fresh size-biased Wtilde each.
+    With W == 1 this is the Poisson(lam) GW tree, drawn from the same
+    Poisson stream in breadth-first order.
 
     Uses the random-walk representation: with i.i.d. offspring draws
     X_1, X_2, ..., tree boundaries are the successive first-passage
@@ -113,6 +101,7 @@ def poisson_gw_progeny_batch(lambda_prime: float, n: int, cap: int,
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    tilde = size_biased(w).dist
     out = np.empty(n, dtype=np.int64)
     filled = 0
     x = np.empty(0, dtype=np.int64)
@@ -120,12 +109,12 @@ def poisson_gw_progeny_batch(lambda_prime: float, n: int, cap: int,
     g = 0      # walk value before draw pos
     level = 0  # the current tree ends when the walk first drops below this
     used = 0   # draws of the current (open) tree before the scanned window
-    mean_size = 1.0 / max(1.0 - lambda_prime, 1e-3)
+    mean_size = 1.0 / max(1.0 - lam * w.second_moment, 1e-3)
     window = min(8192, 16 * (cap + 1))
     while filled < n:
         if pos == x.size:
-            chunk = int(min(max((n - filled) * mean_size * 1.3 + 4096, 8192), 2**24))
-            x = rng.poisson(lambda_prime, size=chunk)
+            chunk = int(min((n - filled) * mean_size * 1.3 + 16, 2**24))
+            x = rng.poisson(lam * w.mean * tilde.sample(chunk, rng))
             pos = 0
         c = g + np.cumsum(x[pos:pos + window] - 1, dtype=np.int64)
         mins = np.minimum.accumulate(np.minimum(c, level))
@@ -160,7 +149,9 @@ def poisson_gw_progeny_batch(lambda_prime: float, n: int, cap: int,
 @dataclass
 class SizeBiasedSpec:
     """Size-biased companion of a weight distribution:
-    mass d mu(y) reweighted to y d mu(y) / E W."""
+    mass d mu(y) reweighted to y d mu(y) / E W.  Kept, rather than
+    returning the reweighted WeightSpec itself, because the benchmark
+    reads `size_biased(spec).dist`."""
 
     base: WeightSpec
     dist: WeightSpec
@@ -173,11 +164,10 @@ class SizeBiasedSpec:
         return self.dist.sample(n, rng)
 
 
+@functools.lru_cache(maxsize=8)
 def size_biased(w: WeightSpec) -> SizeBiasedSpec:
-    """Exact reweighting for discrete kinds, quadrature for continuous."""
-    cached = getattr(w, "_size_biased_cache", None)
-    if cached is not None:
-        return cached
+    """Exact reweighting for discrete kinds, quadrature for continuous;
+    cached per spec object."""
     M = w.mean
     if M <= 0:
         raise ValueError("size biasing needs E W > 0")
@@ -195,9 +185,7 @@ def size_biased(w: WeightSpec) -> SizeBiasedSpec:
             return np.asarray(y) * base_pdf(y) / M
 
         dist = WeightSpec.continuous(pdf, lo, hi, n_nodes=len(w._nodes))
-    spec = SizeBiasedSpec(base=w, dist=dist)
-    w._size_biased_cache = spec
-    return spec
+    return SizeBiasedSpec(base=w, dist=dist)
 
 
 def simulate_B1(x: float, lam: float, w: WeightSpec, cap: int,
@@ -227,22 +215,10 @@ def simulate_B1(x: float, lam: float, w: WeightSpec, cap: int,
 
 
 def simulate_B2(lam: float, w: WeightSpec, cap: int, rng: np.random.Generator):
-    """Total progeny of the homogeneous compound-Poisson process: each
-    individual's offspring count is Po(lam * EW * Wtilde) with a fresh
-    size-biased Wtilde per individual.  Mean offspring = lam * E W^2."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    tilde = size_biased(w).dist
-    M = w.mean
-    total = 1
-    frontier = 1
-    while frontier:
-        wt = tilde.sample(frontier, rng)
-        frontier = int(rng.poisson(lam * M * wt).sum())
-        total += frontier
-        if total > cap:
-            return EXCEEDED
-    return total
+    """Total progeny of one B2 tree, or EXCEEDED: `progeny_batch` with
+    n = 1.  Kept per tree because the benchmark times it per tree."""
+    size = int(progeny_batch(lam, w, 1, cap, rng)[0])
+    return EXCEEDED if size < 0 else size
 
 
 def binomial_poisson_tv(n: int, lam: float) -> float:

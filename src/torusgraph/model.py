@@ -363,7 +363,7 @@ class Graph:
         with open(path, "w") as fh:
             for i, w in enumerate(self.weights):
                 u = self.index_vertex(i)
-                fh.write(f"{u[0]} {u[1]} {w!r}\n")
+                fh.write(f"{u[0]} {u[1]} {float(w)!r}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -548,18 +548,16 @@ def sample_graph(m: ModelConfig, seed: int | None = None) -> Graph:
     return Graph(N, weights, edges, proposals)
 
 
-def sample_graph_reference(m: ModelConfig, seed: int | None = None,
-                           decision=None) -> Graph:
+def sample_graph_reference(m: ModelConfig, seed: int | None = None) -> Graph:
     """O(N^4) per-pair reference sampler (small N only).
 
     Walks every unordered pair in canonical index order.  The weights
     come first from the same stream as in `sample_graph`, so both
-    samplers see the same weights for a seed.  `decision` optionally
-    replaces the RNG: a callable (u_idx, v_idx, p) -> bool.
+    samplers see the same weights for a seed.
     """
     cfg = m.torus
     N, n = cfg.N, cfg.n_vertices
-    if n > 4096 and decision is None:
+    if n > 4096:
         raise ParameterError("reference sampler is O(N^4); use sample_graph for N > 64")
     rng = np.random.Generator(np.random.Philox(m.seed if seed is None else seed))
     weights = m.weights.sample(n, rng)
@@ -572,8 +570,7 @@ def sample_graph_reference(m: ModelConfig, seed: int | None = None,
     for a in range(n):
         for b in range(a + 1, n):
             p = min(m.c * weights[a] * weights[b] / (N * dist[a, b]), 1.0)
-            hit = decision(a, b, p) if decision is not None else rng.random() < p
-            if hit:
+            if rng.random() < p:
                 edges.append((a, b))
     arr = np.array(edges, dtype=np.int64) if edges else np.empty((0, 2), dtype=np.int64)
     return Graph(N, weights, arr, n * (n - 1) // 2)

@@ -16,9 +16,8 @@ from scipy.stats import ks_2samp
 from torusgraph.branching import (
     EXCEEDED,
     borel_tail,
-    poisson_gw_progeny_batch,
+    progeny_batch,
     simulate_B1,
-    simulate_B2,
     size_biased,
 )
 from torusgraph.components import component_decomposition, largest_component
@@ -182,10 +181,8 @@ def test_criterion_07_two_process_identity():
             (cap + 1 if s is EXCEEDED else s
              for s in (simulate_B1(float(x), lam, w, cap, rng) for x in roots)),
             dtype=np.int64, count=n)
-        b2 = np.fromiter(
-            (cap + 1 if s is EXCEEDED else s
-             for s in (simulate_B2(lam, w, cap, rng) for _ in range(n))),
-            dtype=np.int64, count=n)
+        b2 = progeny_batch(lam, w, n, cap, rng)
+        b2[b2 < 0] = cap + 1
         pvals.append(float(ks_2samp(b1, b2).pvalue))
     dt = time.perf_counter() - t0
     ok = all(p > 0.01 for p in pvals) and dt < 120
@@ -199,7 +196,7 @@ def test_criterion_08_borel_oracle():
     n = 1_000_000
     worst = 0.0
     for lp in (0.3, 0.5, 0.8):
-        sizes = poisson_gw_progeny_batch(lp, n, 10_000_000, rng_for(808))
+        sizes = progeny_batch(lp, WeightSpec.constant(), n, 10_000_000, rng_for(808))
         for k in range(1, 21):
             frac = float((sizes >= k).mean())
             exact = borel_tail(lp, k)

@@ -10,16 +10,16 @@ from torusgraph.branching import (
     binomial_poisson_tv,
     borel_tail,
     borel_tail_asymptotic,
-    poisson_gw_progeny_batch,
+    progeny_batch,
     simulate_B1,
     simulate_B2,
-    simulate_poisson_gw,
     size_biased,
 )
 from torusgraph.errors import RegimeError
 from torusgraph.model import WeightSpec
 from torusgraph.theory import supercritical_beta
 
+W1 = WeightSpec.constant()
 W12 = WeightSpec.discrete([1.0, 2.0], [0.5, 0.5])
 
 
@@ -63,42 +63,18 @@ class TestBorelTail:
             borel_tail(0.5, 0)
 
 
-class TestSimulatePoissonGW:
-    def test_subcritical_tail_matches_borel(self):
-        lp = 0.6
-        rng = rng_for(7)
-        n = 40_000
-        sizes = np.array([simulate_poisson_gw(lp, 10_000, rng) for _ in range(n)])
-        assert not np.any(sizes == EXCEEDED)
-        sizes = sizes.astype(np.int64)
-        for k in (2, 5, 10):
-            frac = (sizes >= k).mean()
-            target = borel_tail(lp, k)
-            se = math.sqrt(target * (1 - target) / n)
-            assert abs(frac - target) < 4 * se + 1e-9
-
-    def test_supercritical_exceeded_fraction(self):
-        lam = 2.0
-        rng = rng_for(3)
-        n = 4000
-        hits = sum(simulate_poisson_gw(lam, 1_000_000, rng) is EXCEEDED for _ in range(n))
-        beta = supercritical_beta(lam)
-        se = math.sqrt(beta * (1 - beta) / n)
-        assert abs(hits / n - beta) < 4 * se
-
+class TestProgenyBatch:
     def test_zero_intensity(self):
-        assert simulate_poisson_gw(0.0, 10, rng_for(0)) == 1
+        assert progeny_batch(0.0, W1, 3, 10, rng_for(0)).tolist() == [1, 1, 1]
 
     def test_bad_cap(self):
         with pytest.raises(ValueError):
-            simulate_poisson_gw(0.5, 0, rng_for(0))
+            progeny_batch(0.5, W1, 1, 0, rng_for(0))
 
-
-class TestProgenyBatch:
     def test_matches_borel(self):
         lp = 0.7
         n = 100_000
-        sizes = poisson_gw_progeny_batch(lp, n, 1_000_000, rng_for(11))
+        sizes = progeny_batch(lp, W1, n, 1_000_000, rng_for(11))
         assert sizes.shape == (n,)
         assert np.all(sizes >= 1)  # no tree can exceed this cap at lp<1 in practice
         for k in (2, 3, 8, 20):
@@ -108,21 +84,11 @@ class TestProgenyBatch:
             assert abs(frac - target) < 4.5 * se + 1e-9
 
     def test_exceeded_marked(self):
-        sizes = poisson_gw_progeny_batch(0.9, 20_000, 5, rng_for(2))
+        sizes = progeny_batch(0.9, W1, 20_000, 5, rng_for(2))
         exceeded = (sizes == -1).mean()
         target = borel_tail(0.9, 6)
         se = math.sqrt(target * (1 - target) / 20_000)
         assert abs(exceeded - target) < 4 * se
-
-    def test_matches_scalar_simulator_law(self):
-        lp = 0.5
-        batch = poisson_gw_progeny_batch(lp, 20_000, 10_000, rng_for(5))
-        rng = rng_for(100)
-        scalar = np.array(
-            [simulate_poisson_gw(lp, 10_000, rng) for _ in range(20_000)],
-            dtype=np.int64,
-        )
-        assert ks_2samp(batch, scalar).pvalue > 1e-4
 
     def test_supercritical_abandons_at_cap(self):
         # a tree that never ends is abandoned after cap + 1 draws, so the
@@ -130,7 +96,7 @@ class TestProgenyBatch:
         # a Po(lp * q) tree with q = 1 - beta
         lp, n, cap = 1.5, 2000, 1000
         t0 = time.perf_counter()
-        sizes = poisson_gw_progeny_batch(lp, n, cap, rng_for(13))
+        sizes = progeny_batch(lp, W1, n, cap, rng_for(13))
         assert time.perf_counter() - t0 < 2.0
         beta = supercritical_beta(lp)
         exceeded = sizes == -1
@@ -142,6 +108,29 @@ class TestProgenyBatch:
             target = borel_tail(lp * (1 - beta), k)
             se = math.sqrt(target * (1 - target) / finite.size)
             assert abs(frac - target) < 4.5 * se + 1e-9
+
+    @pytest.mark.parametrize("w", [W12, WeightSpec.truncated_exponential(1.0, 6.0)],
+                             ids=["discrete12", "trunc_exp6"])
+    def test_weighted_walk_exact_oracle(self, w):
+        # exact B2 laws: a leaf needs zero children, P(T=1) = E e^{-s Wt}
+        # with s = lam EW; T = 2 means one child, then a leaf, so
+        # P(T=2) = E[s Wt e^{-s Wt}] P(T=1); and E T = 1 / (1 - lam EW^2)
+        lam, n = 0.3, 200_000
+        sizes = progeny_batch(lam, w, n, 1_000_000, rng_for(31))
+        assert np.all(sizes >= 1)
+        tilde = size_biased(w).dist
+        s = lam * w.mean
+        p1 = tilde.expectation(lambda y: np.exp(-s * y))
+        p2 = tilde.expectation(lambda y: s * y * np.exp(-s * y)) * p1
+        m = lam * w.second_moment
+        # offspring variance m + s^2 Var(Wt); progeny variance sigma^2 / (1 - m)^3
+        sigma2 = m + lam * lam * (w.mean * w.moment(3) - w.second_moment ** 2)
+        for est, target, se in (
+            ((sizes == 1).mean(), p1, math.sqrt(p1 * (1 - p1) / n)),
+            ((sizes == 2).mean(), p2, math.sqrt(p2 * (1 - p2) / n)),
+            (sizes.mean(), 1 / (1 - m), math.sqrt(sigma2 / (1 - m) ** 3 / n)),
+        ):
+            assert abs(est - target) < 4.5 * se, (est, target, (est - target) / se)
 
 
 class TestSizeBiased:
