@@ -16,7 +16,8 @@ import sys
 
 import numpy as np
 
-from .branching import EXCEEDED, borel_tail, progeny_batch, simulate_B1, size_biased
+from .branching import EXCEEDED, borel_tail, progeny_batch, simulate_B1
+from .errors import ParameterError
 from .geometry import TorusConfig
 from .harness import ExperimentPlan, run_experiment, verify_coupling, verify_theory, weights_from_dict
 from .model import ModelConfig, WeightSpec, c_of_lambda, sample_graph
@@ -76,9 +77,17 @@ def main(argv=None) -> int:
     ex.add_argument("--seed", type=int, default=0)
 
     args = ap.parse_args(argv)
+    try:  # an unknown JSON key exits with code 2, like a bad option
+        if args.command == "simulate":
+            plan = ExperimentPlan.load(args.config)
+            for point in plan.sweep:
+                point.weight_spec()  # a bad weight key fails here, not mid-run
+        elif args.command in ("theory", "branching", "export-graph"):
+            spec = weights_from_dict(_parse_weights(args.weights))
+    except ParameterError as exc:
+        ap.error(str(exc))
 
     if args.command == "simulate":
-        plan = ExperimentPlan.load(args.config)
         if args.seed is not None:
             plan.seed = args.seed
         result = run_experiment(plan, threads=args.threads)
@@ -91,7 +100,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "theory":
-        report = verify_theory(lam=args.lam, c=args.c, weights=_parse_weights(args.weights))
+        report = verify_theory(lam=args.lam, c=args.c, weights=spec)
         text = report.to_json()
         if args.out:
             with open(args.out, "w") as fh:
@@ -116,15 +125,13 @@ def main(argv=None) -> int:
                 print(f"k={k:3d}  exact={exact:.6f}  mc={mc:.6f}  "
                       f"|z|={abs(mc - exact) / sigma:5.2f}  {'ok' if passed else 'FAIL'}")
             return 0 if ok else 1
-        spec = weights_from_dict(_parse_weights(args.weights))
         mean_offspring = args.lam * spec.second_moment  # B2's offspring mean
         if not 0 <= mean_offspring < 1:  # otherwise a tree may never end
             ap.error(f"--lambda must give 0 <= lambda * E(W^2) < 1, got {args.lam} * "
                      f"{spec.second_moment:g} = {mean_offspring:g}")
-        tilde = size_biased(spec)
         s1 = []
         for _ in range(args.samples):
-            x = float(tilde.sample(1, rng)[0])
+            x = float(spec.size_biased.sample(1, rng)[0])
             t = simulate_B1(x, args.lam, spec, args.cap, rng)
             s1.append(args.cap + 1 if t is EXCEEDED else t)
         s2 = progeny_batch(args.lam, spec, args.samples, args.cap, rng)
@@ -146,7 +153,6 @@ def main(argv=None) -> int:
 
     if args.command == "export-graph":
         c = args.c if args.c is not None else c_of_lambda(args.lam)
-        spec = weights_from_dict(_parse_weights(args.weights))
         m = ModelConfig(TorusConfig(args.N), c, spec, args.seed)
         g = sample_graph(m)
         g.export_edges(args.out_prefix + ".edges")

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .components import largest_component
+from .errors import reject_unknown_keys
 from .geometry import TorusConfig
 from .model import ModelConfig, WeightSpec, c_of_lambda, lambda_N, lambda_of_c, sample_graph
 from .theory import TheoryReport, build_report
@@ -34,11 +35,17 @@ weights_from_dict = WeightSpec.from_dict  # the JSON form is owned by WeightSpec
 # plan
 # ---------------------------------------------------------------------------
 
+_DEFAULT_WEIGHTS = {"kind": "constant", "value": 1.0}
+# the keys a plan and a sweep point may carry, see ExperimentPlan.from_dict
+_POINT_KEYS = {"N", "c", "lambda", "weights"}
+_PLAN_KEYS = {"weights", "replicates", "estimator", "seed", "output"}
+
+
 @dataclass
 class SweepPoint:
     N: int
     c: float
-    weights: dict = field(default_factory=lambda: {"kind": "constant", "value": 1.0})
+    weights: dict = field(default_factory=_DEFAULT_WEIGHTS.copy)
 
     @property
     def lam(self) -> float:
@@ -64,19 +71,16 @@ class ExperimentPlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentPlan":
+        """Plan from its JSON form: a `sweep` list of points, or one
+        point's keys at top level.  An unknown key raises ParameterError."""
+        reject_unknown_keys(d, _PLAN_KEYS | ({"sweep"} if "sweep" in d else _POINT_KEYS), "a plan")
+        points = d["sweep"] if "sweep" in d else [{k: d[k] for k in ("N", "c", "lambda") if k in d}]
+        for p in points:
+            reject_unknown_keys(p, _POINT_KEYS, "a sweep point")
         weights = d.get("weights")
-        if "sweep" in d:
-            sweep = [
-                SweepPoint(
-                    N=int(p["N"]),
-                    c=_point_c(p),
-                    weights=p.get("weights", weights) or {"kind": "constant", "value": 1.0},
-                )
-                for p in d["sweep"]
-            ]
-        else:
-            sweep = [SweepPoint(N=int(d["N"]), c=_point_c(d),
-                                weights=weights or {"kind": "constant", "value": 1.0})]
+        sweep = [SweepPoint(N=int(p["N"]), c=_point_c(p),
+                            weights=p.get("weights", weights) or _DEFAULT_WEIGHTS.copy())
+                 for p in points]
         return cls(
             sweep=sweep,
             replicates=int(d.get("replicates", 1)),

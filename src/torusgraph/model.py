@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AssumptionError, ParameterError
+from .errors import AssumptionError, ParameterError, reject_unknown_keys
 from .geometry import TorusConfig, Vertex, ring_sizes
 
 LOG2X4 = 4.0 * math.log(2.0)
@@ -46,80 +46,95 @@ def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, wq
 
 
-class WeightSpec:
-    """Distribution of the i.i.d. vertex weight W.
+def _grid_inverse_cdf(pdf, lo, hi, n_grid: int = 1 << 14):
+    """Sampler inverting the trapezoid cdf of `pdf` on a uniform grid."""
+    grid = np.linspace(lo, hi, n_grid + 1)
+    dens = pdf(grid)
+    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(grid))])
+    cdf /= cdf[-1]
 
-    Three kinds: a point mass, a finite discrete distribution, and a
-    continuous density on a finite interval evaluated by Gauss-Legendre
-    quadrature.  All kinds have bounded support, so every exponential
-    tilt E(W^k e^{sW}) is finite.
+    def sampler(rng, n):
+        return np.interp(rng.random(n), cdf, grid)
+
+    return sampler
+
+
+# the keys each kind's JSON form may carry, see WeightSpec.from_dict
+_WEIGHT_KEYS = {
+    "constant": {"kind", "value"},
+    "discrete": {"kind", "values", "probs"},
+    "truncated_exponential": {"kind", "rate", "upper", "n_nodes"},
+}
+
+
+class WeightSpec:
+    """Distribution of the i.i.d. vertex weight W, built by the classmethods.
+
+    Every law is read-only `atoms` and `masses`, so that
+    E fn(W) = fn(atoms) @ masses, plus a sampler.  The atoms of a point
+    mass or a discrete law are its values, those of a density on a
+    finite interval its Gauss-Legendre nodes.  All laws have bounded
+    support, so every exponential tilt E(W^k e^{sW}) is finite.
     """
 
-    def __init__(self, kind: str, **data):
+    def __init__(self, kind: str, atoms: np.ndarray, masses: np.ndarray, sampler,
+                 support_bound: float, params: dict | None, density=None):
+        atoms.flags.writeable = masses.flags.writeable = False
         self.kind = kind
-        self._data = data
-        self._params: dict | None = None  # JSON form of the constructor call, see to_dict
-        if kind == "constant":
-            w = float(data["value"])
-            if w < 0:
-                raise ValueError("weight must be nonnegative")
-            self._params = {"kind": "constant", "value": w}
-            self.mean = w
-            self.second_moment = w * w
-            self.support_bound = w
-        elif kind == "discrete":
-            values = np.asarray(data["values"], dtype=float)
-            probs = np.asarray(data["probs"], dtype=float)
-            if values.shape != probs.shape or values.ndim != 1:
-                raise ValueError("values and probs must be 1-D arrays of equal length")
-            if np.any(values < 0):
-                raise ValueError("weights must be nonnegative")
-            if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
-                raise ValueError("probabilities must be nonnegative and sum to 1")
-            self._data["values"] = values
-            self._data["probs"] = probs
-            self._cdf = probs.cumsum() / probs.cumsum()[-1]
-            self._params = {"kind": "discrete", "values": values.tolist(), "probs": probs.tolist()}
-            self.mean = float(values @ probs)
-            self.second_moment = float((values**2) @ probs)
-            self.support_bound = float(values.max())
-        elif kind == "continuous":
-            pdf = data["pdf"]
-            lo, hi = float(data["lo"]), float(data["hi"])
-            if not (0 <= lo < hi < math.inf):
-                raise AssumptionError(
-                    "continuous weights need a finite support [lo, hi) with 0 <= lo < hi"
-                )
-            n_nodes = int(data.get("n_nodes", 400))
-            x, wq = _gauss_legendre(n_nodes)
-            nodes = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-            qw = 0.5 * (hi - lo) * wq * pdf(nodes)
-            total = qw.sum()
-            if not 1 - 1e-8 < total < 1 + 1e-8:
-                raise ValueError(f"density does not integrate to 1 on [{lo},{hi}]: {total}")
-            qw = qw / total  # absorb quadrature round-off
-            self._nodes = nodes
-            self._qw = qw
-            self.mean = float(nodes @ qw)
-            self.second_moment = float((nodes**2) @ qw)
-            self.support_bound = hi
-            self._sampler = data.get("sampler") or self._grid_inverse_cdf(pdf, lo, hi)
-        else:
-            raise ValueError(f"unknown weight kind {kind!r}")
+        self.atoms = atoms
+        self.masses = masses
+        self._sampler = sampler  # sampler(rng, n) -> n draws of W
+        self.support_bound = support_bound
+        self._params = params  # JSON form of the constructor call, see to_dict
+        self._density = density  # (pdf, lo, hi) of a continuous law, see size_biased
+        self.mean = float(atoms @ masses)
+        self.second_moment = float((atoms**2) @ masses)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, value: float = 1.0) -> "WeightSpec":
-        return cls("constant", value=value)
+        w = float(value)
+        if w < 0:
+            raise ValueError("weight must be nonnegative")
+        return cls("constant", np.array([w]), np.array([1.0]), lambda rng, n: np.full(n, w),
+                   w, {"kind": "constant", "value": w})
 
     @classmethod
     def discrete(cls, values, probs) -> "WeightSpec":
-        return cls("discrete", values=values, probs=probs)
+        values = np.array(values, dtype=float)
+        probs = np.array(probs, dtype=float)
+        if values.shape != probs.shape or values.ndim != 1:
+            raise ValueError("values and probs must be 1-D arrays of equal length")
+        if np.any(values < 0):
+            raise ValueError("weights must be nonnegative")
+        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
+            raise ValueError("probabilities must be nonnegative and sum to 1")
+        cdf = probs.cumsum() / probs.cumsum()[-1]
+
+        def sampler(rng, n):
+            # Generator.choice(values, n, p=probs)'s own draw, without its per-call checks
+            return values[cdf.searchsorted(rng.random(n), side="right")]
+
+        return cls("discrete", values, probs, sampler, float(values.max()),
+                   {"kind": "discrete", "values": values.tolist(), "probs": probs.tolist()})
 
     @classmethod
     def continuous(cls, pdf, lo: float, hi: float, n_nodes: int = 400, sampler=None) -> "WeightSpec":
-        return cls("continuous", pdf=pdf, lo=lo, hi=hi, n_nodes=n_nodes, sampler=sampler)
+        lo, hi = float(lo), float(hi)
+        if not (0 <= lo < hi < math.inf):
+            raise AssumptionError(
+                "continuous weights need a finite support [lo, hi) with 0 <= lo < hi"
+            )
+        x, wq = _gauss_legendre(int(n_nodes))
+        nodes = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+        qw = 0.5 * (hi - lo) * wq * pdf(nodes)
+        total = qw.sum()
+        if not 1 - 1e-8 < total < 1 + 1e-8:
+            raise ValueError(f"density does not integrate to 1 on [{lo},{hi}]: {total}")
+        # dividing by total absorbs quadrature round-off
+        return cls("continuous", nodes, qw / total, sampler or _grid_inverse_cdf(pdf, lo, hi),
+                   hi, None, density=(pdf, lo, hi))
 
     @classmethod
     def truncated_exponential(cls, rate: float = 1.0, upper: float = 8.0, n_nodes: int = 400) -> "WeightSpec":
@@ -135,29 +150,32 @@ class WeightSpec:
             u = rng.random(n)
             return -np.log1p(-u * Z) / rate
 
-        spec = cls("continuous", pdf=pdf, lo=0.0, hi=upper, n_nodes=n_nodes, sampler=sampler)
+        spec = cls.continuous(pdf, 0.0, upper, n_nodes, sampler)
         spec._params = {"kind": "truncated_exponential", "rate": float(rate),
-                       "upper": float(upper), "n_nodes": int(n_nodes)}
+                        "upper": float(upper), "n_nodes": int(n_nodes)}
         return spec
 
     # -- JSON form ---------------------------------------------------------
 
     @classmethod
     def from_dict(cls, d: dict | None) -> "WeightSpec":
-        """Spec from its JSON form; None means constant weight 1."""
+        """Spec from its JSON form; None means constant weight 1.  An
+        unknown kind, or a key outside the kind's keys, raises
+        ParameterError."""
         if d is None:
             return cls.constant(1.0)
         kind = d.get("kind", "constant")
+        if kind not in _WEIGHT_KEYS:
+            raise ParameterError(f"unknown weight kind in config: {kind!r}")
+        reject_unknown_keys(d, _WEIGHT_KEYS[kind], f"a {kind} weight law")
         if kind == "constant":
             return cls.constant(float(d.get("value", 1.0)))
         if kind == "discrete":
             return cls.discrete(d["values"], d["probs"])
-        if kind == "truncated_exponential":
-            return cls.truncated_exponential(
-                rate=float(d.get("rate", 1.0)), upper=float(d.get("upper", 8.0)),
-                n_nodes=int(d.get("n_nodes", 400)),
-            )
-        raise ValueError(f"unknown weight kind in config: {kind!r}")
+        return cls.truncated_exponential(
+            rate=float(d.get("rate", 1.0)), upper=float(d.get("upper", 8.0)),
+            n_nodes=int(d.get("n_nodes", 400)),
+        )
 
     def to_dict(self) -> dict:
         """JSON form that `from_dict` turns back into the same law.
@@ -172,25 +190,9 @@ class WeightSpec:
 
     # -- queries -----------------------------------------------------------
 
-    @staticmethod
-    def _grid_inverse_cdf(pdf, lo, hi, n_grid: int = 1 << 14):
-        grid = np.linspace(lo, hi, n_grid + 1)
-        dens = pdf(grid)
-        cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(grid))])
-        cdf /= cdf[-1]
-
-        def sampler(rng, n):
-            return np.interp(rng.random(n), cdf, grid)
-
-        return sampler
-
     def expectation(self, fn) -> float:
         """E[fn(W)] with fn vectorized over arrays."""
-        if self.kind == "constant":
-            return float(fn(np.array([self._data["value"]]))[0])
-        if self.kind == "discrete":
-            return float(fn(self._data["values"]) @ self._data["probs"])
-        return float(fn(self._nodes) @ self._qw)
+        return float(fn(self.atoms) @ self.masses)
 
     def moment(self, k: int) -> float:
         return self.expectation(lambda x: x**k)
@@ -198,20 +200,28 @@ class WeightSpec:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 0:
             raise ValueError("n must be >= 0")
-        if self.kind == "constant":
-            return np.full(n, float(self._data["value"]))
-        if self.kind == "discrete":
-            # Generator.choice(values, n, p=probs)'s own draw, without its per-call checks
-            return self._data["values"][self._cdf.searchsorted(rng.random(n), side="right")]
         return self._sampler(rng, n)
 
+    @functools.cached_property
+    def size_biased(self) -> "WeightSpec":
+        """Law of the size-biased weight: mass y dmu(y) reweighted by
+        1 / E W.  A density is reweighted and gets a fresh quadrature on
+        as many nodes; a one-atom law is its own size-biased law."""
+        M = self.mean
+        if M <= 0:
+            raise ValueError("size biasing needs E W > 0")
+        if self._density is not None:
+            pdf, lo, hi = self._density
+            return WeightSpec.continuous(lambda y: np.asarray(y) * pdf(y) / M, lo, hi, self.atoms.size)
+        if self.atoms.size == 1:
+            return self
+        return WeightSpec.discrete(self.atoms, self.atoms * self.masses / M)
+
     def __repr__(self) -> str:
-        if self.kind == "constant":
-            return f"WeightSpec.constant({self._data['value']})"
-        if self.kind == "discrete":
-            pairs = dict(zip(self._data["values"], self._data["probs"]))
-            return f"WeightSpec.discrete({pairs})"
-        return f"WeightSpec.continuous([{self._data['lo']}, {self._data['hi']}])"
+        if self._params is None:
+            return f"WeightSpec.{self.kind}(<user density>)"
+        args = ", ".join(f"{k}={v!r}" for k, v in self._params.items() if k != "kind")
+        return f"WeightSpec.{self._params['kind']}({args})"
 
 
 # ---------------------------------------------------------------------------

@@ -98,9 +98,9 @@ def weighted_beta_profile(lam: float, w: WeightSpec):
 def tilt_moments(w: WeightSpec, s: float, k: int) -> float:
     """E(W^k e^{sW}) for k in {0, 1, 2}.
 
-    Exact weighted sum for the discrete kinds, quadrature for the
-    continuous kind; all supported kinds have bounded support, so the
-    tilt is finite for every s.
+    The sum over the law's atoms: exact for a discrete law, quadrature
+    for a density.  Every law has bounded support, so the tilt is
+    finite for every s.
     """
     if k not in (0, 1, 2):
         raise ValueError("k must be 0, 1 or 2")
@@ -189,7 +189,7 @@ def build_report(lam: float, w: WeightSpec) -> TheoryReport:
     if lam <= 0:
         return report  # degenerate empty-graph model, no limit constants
 
-    homogeneous = w.kind == "constant" and w.support_bound == 1.0
+    homogeneous = w.atoms.tolist() == [1.0]  # W == 1: one atom, at 1
     if regime == "supercritical":
         b_star, _, beta_hat = weighted_beta_profile(lam, w)
         report.b_star, report.beta_hat = b_star, beta_hat

@@ -118,7 +118,7 @@ class TestProgenyBatch:
         lam, n = 0.3, 200_000
         sizes = progeny_batch(lam, w, n, 1_000_000, rng_for(31))
         assert np.all(sizes >= 1)
-        tilde = size_biased(w).dist
+        tilde = w.size_biased
         s = lam * w.mean
         p1 = tilde.expectation(lambda y: np.exp(-s * y))
         p2 = tilde.expectation(lambda y: s * y * np.exp(-s * y)) * p1
@@ -135,32 +135,31 @@ class TestProgenyBatch:
 
 class TestSizeBiased:
     def test_constant_fixed_point(self):
-        sb = size_biased(WeightSpec.constant(2.0))
-        assert sb.mean == 2.0
+        w = WeightSpec.constant(2.0)
+        assert w.size_biased is w and w.size_biased.mean == 2.0
 
     def test_two_point(self):
-        sb = size_biased(W12)
-        probs = sb.dist._data["probs"]
-        assert probs == pytest.approx([1 / 3, 2 / 3])
+        sb = W12.size_biased
+        assert sb.masses == pytest.approx([1 / 3, 2 / 3])
         assert sb.mean == pytest.approx(5 / 3)  # E W^2 / E W
 
     def test_mean_identity(self):
         # E Wtilde = E W^2 / E W for every kind
         for w in (W12, WeightSpec.truncated_exponential(1.0, 6.0)):
-            sb = size_biased(w)
-            assert sb.mean == pytest.approx(w.second_moment / w.mean, rel=1e-6)
+            assert w.size_biased.mean == pytest.approx(w.second_moment / w.mean, rel=1e-6)
 
     def test_sampling_law(self):
-        draws = size_biased(W12).sample(50_000, rng_for(4))
+        draws = W12.size_biased.sample(50_000, rng_for(4))
         frac2 = (draws == 2.0).mean()
         assert abs(frac2 - 2 / 3) < 4 * math.sqrt((2 / 3) * (1 / 3) / 50_000)
 
     def test_cached(self):
-        assert size_biased(W12) is size_biased(W12)
+        assert W12.size_biased is W12.size_biased
+        assert size_biased(W12).dist is W12.size_biased
 
     def test_zero_mean_rejected(self):
         with pytest.raises(ValueError):
-            size_biased(WeightSpec.constant(0.0))
+            WeightSpec.constant(0.0).size_biased
 
 
 class TestTwoProcessIdentity:
@@ -184,7 +183,7 @@ class TestTwoProcessIdentity:
         # offspring count per individual has mean lam * E W^2
         lam = 0.3
         rng = rng_for(13)
-        tilde = size_biased(W12).dist
+        tilde = W12.size_biased
         counts = rng.poisson(lam * W12.mean * tilde.sample(200_000, rng))
         assert counts.mean() == pytest.approx(lam * W12.second_moment, abs=0.01)
 
@@ -194,7 +193,7 @@ class TestTwoProcessIdentity:
         # B1 rooted at a size-biased type and B2 have the same total
         # progeny law; compare the two samples with a KS test
         rng = rng_for(21)
-        tilde = size_biased(w).dist
+        tilde = w.size_biased
         n = 15_000
         roots = tilde.sample(n, rng)
         b1 = np.array([simulate_B1(float(x), lam, w, 50_000, rng) for x in roots],

@@ -49,7 +49,7 @@ class TestWeightsDict:
         assert w.support_bound == 4.0
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError, match="'lognormal'"):
             weights_from_dict({"kind": "lognormal"})
 
     @pytest.mark.parametrize("d", [
@@ -76,8 +76,33 @@ class TestWeightsDict:
         with pytest.raises(ParameterError):
             w.to_dict()
 
+    @pytest.mark.parametrize("d, key", [
+        ({"kind": "truncated_exponential", "rate": 1.0, "uper": 4.0}, "uper"),
+        ({"kind": "constant", "valeu": 2.0}, "valeu"),
+        ({"kind": "discrete", "values": [1.0], "probs": [1.0], "prob": [1.0]}, "prob"),
+    ])
+    def test_unknown_key_rejected(self, d, key):
+        # a misspelled key would silently run the default law instead
+        with pytest.raises(ParameterError, match=repr(key)):
+            weights_from_dict(d)
+
 
 class TestPlanParsing:
+    @pytest.mark.parametrize("d, key", [
+        ({"N": 10, "lambda": 2.0, "replicate": 50}, "replicate"),
+        ({"N": 10, "lambda": 2.0, "estimater": "C_over_logN2"}, "estimater"),
+        ({"sweep": [{"N": 10, "lambda": 2.0}], "replicate": 50}, "replicate"),
+        ({"sweep": [{"N": 10, "lambda": 2.0}], "N": 12}, "N"),
+        ({"sweep": [{"N": 10, "lambda": 2.0,
+                     "weight": {"kind": "discrete", "values": [1.0, 2.0], "probs": [0.5, 0.5]}}]},
+         "weight"),
+        ({"N": 10, "lambda": 2.0, "weights": {"kind": "constant", "valeu": 2.0}}, "valeu"),
+    ])
+    def test_unknown_key_rejected(self, d, key):
+        # a misspelled key would silently run a different experiment
+        with pytest.raises(ParameterError, match=repr(key)):
+            ExperimentPlan.from_dict(d).sweep[0].weight_spec()
+
     def test_c_lambda_exclusive(self):
         with pytest.raises(ValueError):
             ExperimentPlan.from_dict({"sweep": [{"N": 8, "c": 0.5, "lambda": 1.0}]})
@@ -325,6 +350,29 @@ class TestCLI:
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit):
             cli_main([])
+
+    @pytest.mark.parametrize("argv", [
+        ["theory", "--lambda", "0.3"],
+        ["branching", "--check", "identity", "--lambda", "0.3", "--samples", "40"],
+        ["export-graph", "--N", "8", "--lambda", "2.0", "--out-prefix", "unused"],
+    ])
+    @pytest.mark.parametrize("weights, name", [
+        ('{"kind": "constant", "valeu": 2}', "'valeu'"),
+        ('{"kind": "truncated_exponental"}', "'truncated_exponental'"),
+    ])
+    def test_unknown_weight_key_exits_2(self, argv, weights, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--weights", weights])
+        assert exc.value.code == 2
+        assert name in capsys.readouterr().err
+
+    def test_unknown_plan_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "plan.json"
+        cfg.write_text(json.dumps({"N": 10, "lambda": 2.0, "replicate": 50}))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["simulate", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "'replicate'" in capsys.readouterr().err
 
 
 def test_import_leaves_scipy_stats_unloaded():

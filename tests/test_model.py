@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from torusgraph.branching import size_biased
 from torusgraph.errors import ParameterError
 from torusgraph.geometry import TorusConfig, kernel, ring_sizes, torus_distance
 from torusgraph.model import (
@@ -66,6 +67,41 @@ class TestWeightSpec:
     def test_continuous_requires_normalized_density(self):
         with pytest.raises(ValueError):
             WeightSpec.continuous(lambda x: np.full_like(np.asarray(x, float), 2.0), 0.0, 1.0)
+
+    @pytest.mark.parametrize("w, draws, tilde_draws, tilde_mean", [
+        (WeightSpec.constant(2.0), [2.0] * 4, [2.0] * 4, 2.0),
+        (WeightSpec.discrete([1.0, 2.0], [0.5, 0.5]), [1.0, 1.0, 1.0, 2.0], [2.0] * 4,
+         1.6666666666666665),
+        (WeightSpec.truncated_exponential(1.0, 8.0),
+         [0.0691138785530691, 0.08228055928653663, 0.005791920861085398, 1.6413730771997557],
+         [2.3302443936382997, 3.0668936909775204, 2.7600646529505255, 3.35591077441264],
+         1.978465375257978),
+        (WeightSpec.continuous(lambda x: np.full_like(np.asarray(x, float), 0.5), 0.0, 2.0),
+         [0.1336040186793126, 0.1580259647098059, 0.011554236061560585, 1.6131133882699074],
+         [1.6469461044468034, 1.8034162628969725, 1.748532994121545, 1.844607881658917],
+         1.3333333333333157),
+    ], ids=["constant2", "discrete12", "trunc_exp8", "uniform02"])
+    def test_pinned_weight_streams(self, w, draws, tilde_draws, tilde_mean):
+        # the W and size-biased W streams every sampler and progeny walk
+        # reads; a storage change must not move a single draw.  The
+        # size-biased law is reached through the wrapper that predates
+        # WeightSpec.size_biased, so these literals check both.
+        tilde = size_biased(w).dist
+        assert w.sample(4, rng_for(1)).tolist() == draws
+        assert tilde.sample(4, rng_for(2)).tolist() == tilde_draws
+        assert tilde.mean == tilde_mean
+
+    def test_expectation_is_atoms_dot_masses(self):
+        w = WeightSpec.discrete([1.0, 2.0], [0.25, 0.75])
+        assert w.atoms.tolist() == [1.0, 2.0] and w.masses.tolist() == [0.25, 0.75]
+        assert w.expectation(lambda y: y**3) == 6.25
+        with pytest.raises(ValueError):
+            w.atoms[0] = 5.0  # read-only: the moments are computed once
+
+    def test_repr_shows_parameters(self):
+        r = repr(WeightSpec.discrete([1.0, 2.0], [0.5, 0.5]))
+        assert "float64" not in r and r == "WeightSpec.discrete(values=[1.0, 2.0], probs=[0.5, 0.5])"
+        assert "rate=2.0" in repr(WeightSpec.truncated_exponential(2.0, 6.0))
 
 
 class TestEdgeProbability:

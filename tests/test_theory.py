@@ -189,6 +189,13 @@ class TestReport:
         assert r.sub_const == pytest.approx(5.177399, abs=1e-5)
         assert r.sub_const_weighted == pytest.approx(r.sub_const, abs=1e-10)
 
+    def test_unit_weight_law_of_any_kind_is_homogeneous(self):
+        # W == 1 is a property of the law, not of how it was built
+        one_atom = build_report(2.0, WeightSpec.discrete([1.0], [1.0]))
+        assert one_atom.beta is not None
+        assert one_atom.beta == build_report(2.0, WeightSpec.constant(1.0)).beta
+        assert build_report(0.5, WeightSpec.discrete([1.0], [1.0])).sub_const is not None
+
     def test_trichotomy(self):
         for lam, expect in ((0.3, "subcritical"), (0.4, "critical"), (0.6, "supercritical")):
             assert build_report(lam, W12).regime == expect
