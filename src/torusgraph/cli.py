@@ -17,7 +17,6 @@ import sys
 import numpy as np
 
 from .branching import EXCEEDED, borel_tail, progeny_batch, simulate_B1
-from .errors import ParameterError
 from .geometry import TorusConfig
 from .harness import ExperimentPlan, run_experiment, verify_coupling, verify_theory, weights_from_dict
 from .model import ModelConfig, WeightSpec, c_of_lambda, sample_graph
@@ -77,14 +76,14 @@ def main(argv=None) -> int:
     ex.add_argument("--seed", type=int, default=0)
 
     args = ap.parse_args(argv)
-    try:  # an unknown JSON key exits with code 2, like a bad option
+    try:  # a bad JSON key or value exits with code 2, like a bad option
         if args.command == "simulate":
             plan = ExperimentPlan.load(args.config)
             for point in plan.sweep:
                 point.weight_spec()  # a bad weight key fails here, not mid-run
         elif args.command in ("theory", "branching", "export-graph"):
             spec = weights_from_dict(_parse_weights(args.weights))
-    except ParameterError as exc:
+    except ValueError as exc:  # ParameterError, and the laws' own range checks
         ap.error(str(exc))
 
     if args.command == "simulate":

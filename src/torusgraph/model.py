@@ -3,20 +3,24 @@
 The graph on {1,...,N}^2 puts an independent edge between u and v with
 probability min{c * W_u W_v / (N d(u,v)), 1}.  Naive pair-by-pair
 sampling is O(N^4); the fast path works on slots.  A slot pairs a vertex
-u with one offset o out of H, which holds one of each {o, -o}, sorted by
-distance ring; its key is o * n + u, so each ring owns one contiguous
-key range and one decoder serves every ring.  This slot table is the
-package's only ring table, cached once per N and process by
-`slot_table`.  Every unordered pair is exactly one real slot.  A
-self-inverse offset (o == -o, even N only) also yields a mirrored
-phantom slot per pair, which is proposed like any other and then
-dropped.  Vertices are grouped into dyadic weight layers of the
-largest sampled weight B, and the slots of each (ring, layer) group are
-proposed at the group's cap, the largest weight of the layer times B.
-One random stream per graph draws the weights, a Binomial proposal
-count per group, distinct slots per chunk of groups, and the thinning
-of each proposal by its actual weight product, so the sampled law is
-exact, not approximate.
+u with one nonzero offset o, sorted by distance ring; its key is
+o * n + u, so each ring owns one contiguous key range and one decoder
+serves every ring.  This slot table is the package's only ring table,
+cached once per N and process by `slot_table`, and it has two views.
+In the half view (one of each {o, -o}, each ring's prefix) every
+unordered pair is exactly one real slot; a self-inverse offset
+(o == -o, even N only) also yields a mirrored phantom slot per pair,
+which is proposed like any other and then dropped.  In the full view
+every pair is two slots, one from each end, and only the one from its
+owner, the heavier endpoint, is kept.  Vertices are grouped into dyadic
+weight layers of the largest sampled weight B, and the slots of each
+(ring, layer) group are proposed at the group's cap: the largest weight
+M_a of the layer times B in the half view, M_a^2 in the full view.
+Each graph takes the view with the smaller expected proposal count,
+decided from its weights alone.  One random stream per graph draws the
+weights, a Binomial proposal count per group, distinct slots per chunk
+of groups, and the thinning of each proposal by its actual weight
+product, so the sampled law is exact, not approximate.
 """
 
 from __future__ import annotations
@@ -316,7 +320,7 @@ class Graph:
     N: int
     weights: np.ndarray
     edges: np.ndarray
-    proposals: int = 0  # slots sample_graph drew, phantoms included; pairs the reference tried
+    proposals: int = 0  # slots sample_graph drew, phantom and non-owner ones included; pairs the reference tried
 
     def __post_init__(self):
         self._indptr: np.ndarray | None = None
@@ -377,48 +381,72 @@ class Graph:
 
 
 # ---------------------------------------------------------------------------
-# candidate-pair slots: each unordered pair in exactly one real slot
+# candidate-pair slots: two views of one offset table
 # ---------------------------------------------------------------------------
 
 class SlotTable:
-    """Candidate-pair slots of the N-torus, one per (half-offset, vertex).
+    """Candidate-pair slots of the N-torus, one per (offset, vertex).
 
-    `di`, `dj` hold H: one of each {o, -o} over all nonzero offsets o,
-    self-inverse ones (o == -o, even N only) included, sorted by ring.
-    Ring r owns H[ring_start[r]:ring_start[r + 1]].  The slot key
-    o * n + u (o an index into H, u a vertex index) names the pair
-    (u, u + H[o]), so ring r owns the key range
-    [n * ring_start[r], n * ring_start[r + 1]).  A self-inverse offset
-    names each of its pairs twice, as (u, v) and (v, u); the copy with
-    u > v is a phantom slot (3n/2 of them for even N, none for odd N).
+    `di`, `dj` (int32) hold every nonzero offset, sorted by ring; within
+    a ring the half-offsets H_r come first, one of each {o, -o} with
+    self-inverse ones (o == -o, even N only) included, and the other
+    offsets follow.  Ring r owns F_r = table[ring_start[r]:ring_start[r + 1]],
+    |F_r| = ring_full[r - 1], and its first ring_len[r - 1] = |H_r|
+    offsets are H_r.  The slot key o * n + u (o an index into the table,
+    u a vertex index) names the pair (u, u + table[o]), so ring r owns
+    the key range [n * ring_start[r], n * ring_start[r + 1]).
+
+    The half view is each ring's prefix H_r: every unordered pair is one
+    slot, except that a self-inverse offset names each of its pairs
+    twice, as (u, v) and (v, u), and the copy with u > v is a phantom
+    slot (3n/2 of them for even N, none for odd N).  The full view is all
+    of F_r: every pair {u, v} is exactly two slots, (o, u) and (-o, v)
+    (or (o, v) for a self-inverse o), and only the one from the pair's
+    owner, its heavier endpoint, proposes it.  `owns` holds both rules.
     """
 
     def __init__(self, cfg: TorusConfig):
         N = cfg.N
         self.N, self.n = N, cfg.n_vertices
         di, dj = np.divmod(np.arange(1, self.n), N)
-        keep = di * N + dj <= (-di % N) * N + (-dj % N)
+        half = di * N + dj <= (-di % N) * N + (-dj % N)
         d = cfg.offset_dist
-        dist = d[di[keep]] + d[dj[keep]]
-        order = np.argsort(dist, kind="stable")
-        self.di, self.dj = di[keep][order], dj[keep][order]
+        dist = d[di] + d[dj]
+        order = np.argsort(2 * dist + ~half, kind="stable")  # by ring, H_r first
+        self.di, self.dj = di[order].astype(np.int32), dj[order].astype(np.int32)
         self.self_inverse = (2 * self.di % N == 0) & (2 * self.dj % N == 0)
         self.ring_start = np.searchsorted(dist[order], np.arange(cfg.max_dist + 2))
         self.ring = np.arange(1, cfg.max_dist + 1)  # the nonempty rings r
-        self.ring_len = np.diff(self.ring_start[1:])  # |H_r|, their half-offset counts
+        self.ring_full = np.diff(self.ring_start[1:])  # |F_r|, their offset counts
+        self.ring_len = np.bincount(dist[half], minlength=cfg.max_dist + 1)[1:]  # |H_r|
 
     def decode(self, key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, v, real) vertex indices of slot keys; `real` is False only
-        on the phantom copy of a self-inverse pair."""
-        o, u = np.divmod(key, self.n)
-        return self.pair(o, u)
+        """(o, u, v) of slot keys: offset index, vertex and its partner."""
+        o = key // self.n
+        u = key - o * self.n
+        return o, u, self.partner(o, u)
 
-    def pair(self, o: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`decode` of the slots (o, u), given as half-offset and vertex indices."""
+    def partner(self, o: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Vertex index of u + table[o].  Division-free past one scalar
+        floor division: each coordinate sum is below 2N, so it wraps by
+        one compare-and-subtract instead of a `% N`."""
         N = self.N
-        i, j = np.divmod(u, N)
-        v = (i + self.di[o]) % N * N + (j + self.dj[o]) % N
-        return u, v, (u < v) | ~self.self_inverse[o]
+        i = u // N
+        a = i + self.di[o]
+        a -= N * (a >= N)
+        b = u - i * N + self.dj[o]
+        b -= N * (b >= N)
+        return a * N + b
+
+    def owns(self, o: np.ndarray, u: np.ndarray, v: np.ndarray,
+             weights: np.ndarray | None = None) -> np.ndarray:
+        """Whether slot (o, u) proposes its pair (u, v).  Half view
+        (weights None): all but the phantom copy of a self-inverse pair.
+        Full view: only the owner, W_u > W_v with ties to u < v."""
+        if weights is None:
+            return (u < v) | ~self.self_inverse[o]
+        wu, wv = weights[u], weights[v]
+        return (wu > wv) | ((wu == wv) & (u < v))
 
 
 @functools.lru_cache(maxsize=4)
@@ -470,6 +498,37 @@ def _uniform_distinct(rng: np.random.Generator, start: np.ndarray, size: np.ndar
         x = np.sort(np.concatenate([x[:-1][~dup], x[-1:], start[grp] + rng.integers(0, size[grp])]))
 
 
+def _weight_layers(weights: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """(order, sizes, top) of the dyadic weight layers: vertex u sits in
+    layer floor(log2(B / W_u)), capped at MAX_LAYER, with B the largest
+    weight; `order` lists the vertices layer by layer (None when there is
+    one layer), `sizes` and `top` hold each nonempty layer's vertex count
+    and largest weight M_a."""
+    B, low = float(weights.max()), float(weights.min())
+    if low == B or 2 * low > B:  # one layer: equal weights (zero included) or all above B/2
+        return None, np.array([weights.size]), np.array([B])
+    # B > 0; weights at most B / 2^MAX_LAYER, zero included, get ratio 2^MAX_LAYER
+    layer = np.floor(np.log2(B / np.maximum(weights, B / 2**MAX_LAYER))).astype(np.int8)
+    order = layer.argsort(kind="stable")
+    sizes = np.bincount(layer)
+    sizes = sizes[sizes > 0]
+    return order, sizes, np.maximum.reduceat(weights[order], np.cumsum(sizes) - sizes)
+
+
+def _slot_view(slots: SlotTable, ring_scale: np.ndarray, sizes: np.ndarray,
+               top: np.ndarray) -> tuple[bool, np.ndarray]:
+    """(full, q): whether the full view is expected to propose strictly
+    fewer slots than the half view, and the chosen view's caps q of the
+    (ring, layer) groups.  A half-view slot (o, u) with u in layer a caps
+    W_u W_v by M_a B, a full-view one, kept only from the owner, by M_a^2.
+    With one layer the caps agree and |F_r| >= |H_r|, so the half view
+    stays."""
+    half = np.minimum(ring_scale * (top * top[0]), 1.0)
+    full = np.minimum(ring_scale * (top * top), 1.0)
+    cheaper = (slots.ring_full @ full @ sizes) < (slots.ring_len @ half @ sizes)
+    return bool(cheaper), full if cheaper else half
+
+
 def sample_graph(m: ModelConfig, seed: int | None = None) -> Graph:
     """Sample the graph by layered ring thinning; exact and near-linear.
 
@@ -479,51 +538,54 @@ def sample_graph(m: ModelConfig, seed: int | None = None) -> Graph:
     uniforms.  With B the largest sampled weight, vertex u sits in the
     dyadic layer a = floor(log2(B / W_u)), capped at MAX_LAYER, and M_a
     is the largest weight in layer a.  Every slot (o, u) of ring r with u
-    in layer a is proposed independently with
-    q = min{c M_a B / (N r), 1}: a Binomial(P, q) count of distinct slots
-    drawn uniformly among the group's P = |H_r| n_a.  Phantom slots are
-    dropped and each real one is kept with p(u,v) / q <= 1 (W_u <= M_a,
-    W_v <= B), which gives every pair its exact edge probability.  When
-    every weight exceeds B/2 there is one layer, whose keys are the slot
-    keys themselves; when every weight equals B, p(u,v) = q and no
-    thinning draw is made.
+    in layer a is proposed independently with probability q: a
+    Binomial(P, q) count of distinct slots drawn uniformly among the
+    group's P = |V_r| n_a, where V_r is the ring's offsets in the chosen
+    view of `SlotTable`.
+
+    - Half view, V_r = H_r, q = min{c M_a B / (N r), 1}: phantom slots
+      are dropped.
+    - Full view, V_r = F_r, q = min{c M_a^2 / (N r), 1}: a slot is kept
+      only from its pair's owner (W_v <= W_u <= M_a), so each pair is
+      still proposed from exactly one slot.
+
+    Each slot kept is then accepted with p(u,v) / q <= 1, which gives
+    every pair its exact edge probability.  The view is the one with the
+    smaller expected proposal count sum_r |V_r| sum_a n_a q, the half
+    view on a tie (always with one layer).  It depends on the weights
+    alone, which are drawn first, so the law given the weights is exact
+    either way.  When every weight exceeds B/2 there is one layer, whose
+    keys are the slot keys themselves; when every weight equals B,
+    p(u,v) = q and no thinning draw is made.
 
     Groups are handled in chunks of consecutive groups of about CHUNK
     proposals each, which bounds memory.  Measured with numpy 2.4 on a
-    2-core Xeon, against proposing every slot at the one cap
-    c B^2 / (N r) ring by ring: at N=400, lambda=0.3 with
-    truncated_exponential(1, 8) weights a graph takes about 11.5
-    proposals per edge instead of 61, 0.04 s instead of 0.15 s, and a
-    5.1 MB allocation peak instead of 3.7 MB; at N=800, lambda=2 with
-    constant weights 0.08 s instead of 0.10 s, with a 49 MB peak both
-    ways.  `Graph.proposals` records the number of slots drawn.
+    2-core Xeon at N=400, lambda=0.3 with truncated_exponential(1, 8)
+    weights (seeds 0-15): 8.5 proposals per edge where the half view
+    alone takes 11.5 and one cap c B^2 / (N r) for every slot 61; with
+    discrete([1, 8, 64], [.9, .09, .01]) at lambda E(W^2) = 0.3, 18.6
+    instead of 28.4.  At N=800, lambda=2 with constant weights (half
+    view) a graph takes about 0.08 s with a 49 MB allocation peak.
+    `Graph.proposals` records the number of slots drawn.
     """
     cfg = m.torus
     N, n = cfg.N, cfg.n_vertices
     rng = np.random.Generator(np.random.Philox(m.seed if seed is None else seed))
     weights = m.weights.sample(n, rng)
-    B, low = float(weights.max()), float(weights.min())
-
-    if low == B or 2 * low > B:  # one layer: equal weights (zero included) or all above B/2
-        order, sizes = None, np.array([n])
-    else:  # B > 0; weights at most B / 2^MAX_LAYER, zero included, get ratio 2^MAX_LAYER
-        layer = np.floor(np.log2(B / np.maximum(weights, B / 2**MAX_LAYER))).astype(np.int8)
-        order = layer.argsort(kind="stable")
-        sizes = np.bincount(layer)
-        sizes = sizes[sizes > 0]
+    order, sizes, top = _weight_layers(weights)
     L, base = sizes.size, np.cumsum(sizes) - sizes
-    top = np.array([B]) if order is None else np.maximum.reduceat(weights[order], base)
 
     # groups (ring, layer), ring-major; group g owns the keys [start[g], start[g] + size[g])
     slots = slot_table(N)
-    H = slots.ring_len[:, None]
-    size = (H * sizes).ravel()
-    start = (n * slots.ring_start[1:-1, None] + H * base).ravel()
     ring_scale = m.c / (N * slots.ring[:, None])  # p(u,v) = min{ring_scale W_u W_v, 1}
-    q = np.minimum(ring_scale * (top * B), 1.0).ravel()
+    full, q = _slot_view(slots, ring_scale, sizes, top)
+    V = (slots.ring_full if full else slots.ring_len)[:, None]
+    size = (V * sizes).ravel()
+    start = (n * slots.ring_start[1:-1, None] + V * base).ravel()
+    q = q.ravel()
     scale = ring_scale.repeat(L)
     counts = rng.binomial(size, q)
-    thin = low < B
+    thin = float(weights.min()) < top[0]  # some weight below B
 
     proposals = int(counts.sum())
     nz = counts.nonzero()[0]
@@ -537,11 +599,16 @@ def sample_graph(m: ModelConfig, seed: int | None = None) -> Graph:
         key = _uniform_distinct(rng, start[g], size[g], counts[g])
         gi = np.repeat(g, counts[g])
         if order is None:  # one layer: the keys are slot keys o * n + u
-            u, v, keep = slots.decode(key)
-        else:
-            ring, a = np.divmod(gi, L)
-            o, t = np.divmod(key - start[gi], sizes[a])
-            u, v, keep = slots.pair(slots.ring_start[1 + ring] + o, order[base[a] + t])
+            o, u, v = slots.decode(key)
+        else:  # key - start = o' * n_a + t: offset o' of the ring, t-th vertex of layer a
+            ring = gi // L
+            a = gi - ring * L
+            rel = key - start[gi]
+            o = rel // sizes[a]
+            u = order[base[a] + rel - o * sizes[a]]
+            o += slots.ring_start[1 + ring]
+            v = slots.partner(o, u)
+        keep = slots.owns(o, u, v, weights if full else None)
         if thin:  # U q < p(u,v), as p(u,v) <= q, and q = 1 wherever scale W_u W_v > 1
             keep &= rng.random(key.size) * q[gi] < scale[gi] * (weights[u] * weights[v])
         srcs.append(u[keep])

@@ -166,12 +166,13 @@ class TestRunExperiment:
             (5969099755387220158, 719, 928),
             (1150912202361056230, 696, 848),
         ]),
-        # odd N and weights spread over several layers: the layered decode
+        # odd N and weights spread over several layers: the layered decode,
+        # in the full view (owner slots) for these weights
         ({"N": 31, "lambda": 0.6, "replicates": 3, "seed": 2024,
           "weights": {"kind": "truncated_exponential", "rate": 1.0, "upper": 8.0}}, [
-            (5514401882974304769, 86, 262),
-            (5969099755387220158, 69, 273),
-            (1150912202361056230, 101, 264),
+            (5514401882974304769, 160, 275),
+            (5969099755387220158, 122, 283),
+            (1150912202361056230, 84, 272),
         ]),
     ], ids=["N30-constant", "N31-truncexp"])
     def test_pinned_rows(self, plan, expected):
@@ -365,6 +366,25 @@ class TestCLI:
             cli_main(argv + ["--weights", weights])
         assert exc.value.code == 2
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weights, message", [
+        ('{"kind": "discrete", "values": [1, 2], "probs": [0.5, 0.6]}', "sum to 1"),
+        ('{"kind": "truncated_exponential", "rate": -1}', "must be positive"),
+    ], ids=["bad-probs", "negative-rate"])
+    def test_bad_weight_value_exits_2(self, weights, message, capsys):
+        # a value out of the law's range is a usage error, not a traceback
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["theory", "--lambda", "0.3", "--weights", weights])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_point_with_c_and_lambda_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "plan.json"
+        cfg.write_text(json.dumps({"sweep": [{"N": 8, "c": 0.5, "lambda": 1.0}]}))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["simulate", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "exactly one of 'c' or 'lambda'" in capsys.readouterr().err
 
     def test_unknown_plan_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "plan.json"

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -11,6 +12,8 @@ from torusgraph.model import (
     Graph,
     ModelConfig,
     WeightSpec,
+    _slot_view,
+    _weight_layers,
     c_of_lambda,
     edge_probability,
     lambda_N,
@@ -160,30 +163,59 @@ class TestLambda:
             lambda_N(5.0, TorusConfig(4))
 
 
-def all_slots(cfg):
-    """(u, v, r, real) over every slot of the sampler's table."""
-    t = slot_table(cfg.N)
-    n = cfg.n_vertices
-    key = np.arange(n * len(t.di))
-    u, v, real = t.decode(key)
-    r = np.searchsorted(n * t.ring_start, key, side="right") - 1
-    return u, v, r, real
+def all_slots(N, full):
+    """(o, u, v, r) over every slot of the sampler's table in one view:
+    each ring's half-offsets, or all of its offsets."""
+    t = slot_table(N)
+    n = N * N
+    width = t.ring_full if full else t.ring_len
+    o = np.concatenate([np.arange(s, s + w) for s, w in zip(t.ring_start[1:-1], width)])
+    o, u, v = t.decode((o[:, None] * n + np.arange(n)).ravel())
+    return o, u, v, np.searchsorted(t.ring_start, o, side="right") - 1
+
+
+def picks_full_view(m, weights):
+    """Whether sample_graph proposes these weights' graph in the full view."""
+    slots = slot_table(m.torus.N)
+    _, sizes, top = _weight_layers(weights)
+    return _slot_view(slots, m.c / (m.torus.N * slots.ring[:, None]), sizes, top)[0]
 
 
 class TestCandidatePopulation:
     @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 8, 9])
     def test_each_pair_exactly_once(self, N):
+        # half view: each pair once, besides 3n/2 phantom slots for even N;
+        # full view: each pair exactly twice, once from either end
         cfg = TorusConfig(N)
         n = N * N
-        u, v, r, real = all_slots(cfg)
-        u, v, r = u[real], v[real], r[real]
-        assert real.size - u.size == (3 * n // 2 if N % 2 == 0 else 0)
-        assert u.size == n * (n - 1) // 2
-        assert np.all(u != v)
-        key = np.minimum(u, v) * n + np.maximum(u, v)
-        assert np.unique(key).size == key.size
-        for a, b, ring in zip(u.tolist(), v.tolist(), r.tolist()):
-            assert torus_distance((a // N + 1, a % N + 1), (b // N + 1, b % N + 1), cfg) == ring
+        for full in (False, True):
+            o, u, v, r = all_slots(N, full)
+            assert np.all(u != v)
+            for a, b, ring in zip(u.tolist(), v.tolist(), r.tolist()):
+                assert torus_distance((a // N + 1, a % N + 1), (b // N + 1, b % N + 1), cfg) == ring
+            key = np.minimum(u, v) * n + np.maximum(u, v)
+            if full:
+                assert key.size == n * (n - 1)
+                assert np.all(np.unique(key, return_counts=True)[1] == 2)
+            else:
+                real = slot_table(N).owns(o, u, v)
+                assert real.size - real.sum() == (3 * n // 2 if N % 2 == 0 else 0)
+                assert real.sum() == n * (n - 1) // 2 == np.unique(key[real]).size
+
+    @pytest.mark.parametrize("w", [WeightSpec.constant(1.5), WeightSpec.discrete([1.0, 2.0], [0.5, 0.5])],
+                             ids=["equal", "discrete12"])
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+    def test_owner_keeps_one_slot_per_pair(self, N, w):
+        # the full view's owner rule keeps each pair's slot from its heavier
+        # end, ties to the lower index, and exactly one slot per pair
+        n = N * N
+        weights = w.sample(n, rng_for(N))
+        o, u, v, _ = all_slots(N, full=True)
+        own = slot_table(N).owns(o, u, v, weights)
+        key = np.minimum(u, v)[own] * n + np.maximum(u, v)[own]
+        assert key.size == n * (n - 1) // 2 == np.unique(key).size
+        wu, wv = weights[u[own]], weights[v[own]]
+        assert np.all((wu > wv) | ((wu == wv) & (u[own] < v[own])))
 
 
 class TestSampleGraph:
@@ -263,17 +295,21 @@ class TestSampleGraph:
         se = means.std(ddof=1) / math.sqrt(reps)
         assert abs(means.mean() - expect) < 3 * se + 1e-9
 
-    @pytest.mark.parametrize("N, w, reps", [
-        pytest.param(3, WeightSpec.discrete([0.5, 2.0], [0.5, 0.5]), 100_000, id="3"),
-        pytest.param(4, WeightSpec.discrete([0.5, 2.0], [0.5, 0.5]), 100_000, id="4"),
-        pytest.param(5, WeightSpec.truncated_exponential(1.0, 8.0), 40_000, id="5"),
+    @pytest.mark.parametrize("N, w, reps, min_full", [
+        pytest.param(3, WeightSpec.discrete([0.5, 2.0], [0.5, 0.5]), 100_000, 0.0, id="3"),
+        pytest.param(4, WeightSpec.discrete([0.5, 2.0], [0.5, 0.5]), 100_000, 0.0, id="4"),
+        pytest.param(5, WeightSpec.truncated_exponential(1.0, 8.0), 40_000, 0.0, id="5"),
+        pytest.param(4, WeightSpec.discrete([1.0, 8.0], [0.95, 0.05]), 40_000, 0.4, id="4-full"),
     ])
-    def test_per_pair_marginals_exact(self, N, w, reps):
+    def test_per_pair_marginals_exact(self, N, w, reps, min_full):
         # every individual pair's empirical edge frequency within
         # binomial 4 sigma of its exact probability.  The discrete law
         # fills two non-adjacent weight layers, even N covers the
         # self-inverse offsets and their phantom slots, and the
-        # continuous law spreads the weights over many layers
+        # continuous law spreads the weights over many layers.  A rare
+        # heavy weight makes the full view (owner slots) the cheaper one
+        # on at least min_full of the seeds, with even N's self-inverse
+        # offsets among its slots
         c = 0.9
         cfg = TorusConfig(N)
         m = ModelConfig(cfg, c, w)
@@ -283,10 +319,13 @@ class TestSampleGraph:
         scale = c / (N * (d[np.abs(iu // N - ju // N)] + d[np.abs(iu % N - ju % N)]))
         weights = np.empty((reps, n))
         keys = []
+        full = 0
         for s in range(reps):
             g = sample_graph(m, seed=s)
             weights[s] = g.weights
             keys.append(g.edges[:, 0] * n + g.edges[:, 1])
+            full += picks_full_view(m, g.weights)
+        assert full >= min_full * reps
         counts = np.bincount(np.concatenate(keys), minlength=n * n)[iu * n + ju]
         mean_p = sum(np.minimum(scale * wt[:, iu] * wt[:, ju], 1.0).sum(axis=0)
                      for wt in np.split(weights, range(5000, reps, 5000)))
@@ -355,6 +394,32 @@ class TestSampleGraph:
         graphs = [sample_graph(m, seed=s) for s in range(5)]
         edges = sum(g.edge_count for g in graphs)
         assert sum(g.proposals for g in graphs) < 20 * edges
+
+    @pytest.mark.parametrize("w, bound", [
+        (WeightSpec.truncated_exponential(1.0, 8.0), 10.0),
+        (WeightSpec.discrete([1.0, 8.0, 64.0], [0.9, 0.09, 0.01]), 24.0),
+    ], ids=["trunc_exp8", "discrete1_8_64"])
+    def test_heavier_endpoint_proposals_per_edge(self, w, bound):
+        # at lambda E(W^2) = 0.3 the half view alone drew 11.1 and 28.3
+        # slots per edge here; the full view, where cheaper, 8.5 and 19.6
+        m = ModelConfig.from_lambda(100, 0.3 / w.second_moment, w)
+        graphs = [sample_graph(m, seed=s) for s in range(5)]
+        assert sum(g.proposals for g in graphs) < bound * sum(g.edge_count for g in graphs)
+
+    @pytest.mark.parametrize("N, lam, w, seed, digest", [
+        (30, 2.0, WeightSpec.constant(), 3,
+         "b475116eca121a997fcba1ce13af03f41500382fc7a7cebbaa4e757a5ceea5ea"),
+        (31, 2.0, WeightSpec.constant(), 3,
+         "7666096343ad8029a8c94c6e33548510df63ebe9115809fe2e11dae48f8e58da"),
+        (400, 0.3, WeightSpec.discrete([1.0, 2.0], [0.5, 0.5]), 0,
+         "63fdc7e43489d03c311e19790193c5d3f9f8bf5c1fdae4275206f8e951a67b1a"),
+    ], ids=["N30-constant", "N31-constant", "N400-discrete12"])
+    def test_pinned_edge_digests(self, N, lam, w, seed, digest):
+        # graphs the half view proposes keep their exact edge streams
+        m = ModelConfig.from_lambda(N, lam, w, seed=seed)
+        g = sample_graph(m)
+        assert not picks_full_view(m, g.weights)
+        assert hashlib.sha256(g.edges.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("N", [30, 31])
     def test_constant_weights_propose_one_slot_per_edge(self, N):
