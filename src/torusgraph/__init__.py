@@ -40,9 +40,7 @@ from .branching import (
     EXCEEDED,
     borel_tail,
     progeny_batch,
-    size_biased,
     simulate_B1,
-    simulate_B2,
     binomial_poisson_tv,
 )
 from .errors import RegimeError, AssumptionError, ParameterError
@@ -79,9 +77,7 @@ __all__ = [
     "EXCEEDED",
     "borel_tail",
     "progeny_batch",
-    "size_biased",
     "simulate_B1",
-    "simulate_B2",
     "binomial_poisson_tv",
     "RegimeError",
     "AssumptionError",

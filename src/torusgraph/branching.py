@@ -5,7 +5,10 @@ child types i.i.d. size-biased W) and the homogeneous mixed-Poisson
 process B2 (offspring count Po(lambda * EW * Wtilde), Wtilde size-biased)
 have identical total-progeny laws when B1's root type is itself
 size-biased, which is what links the weighted graph to a scalar
-survival criterion.
+survival criterion.  Both read W and Wtilde from the weight law: a
+`WeightSpec` is its atoms and masses, a sampler of W and a sampler of
+Wtilde = `w.size_biased`, whose law y mu(dy) / EW keeps W's atoms and
+is drawn exactly for every law a constructor builds.
 
 One random walk, `progeny_batch`, draws B2's total progeny; with W == 1
 it is the Poisson(lambda) Galton-Watson tree, whose Borel tail is the
@@ -61,25 +64,6 @@ def borel_tail(lambda_prime: float, k: int) -> float:
         if term < 1e-16 * total and j > j_min_extra:
             break
     return min(total, 1.0)
-
-
-def borel_tail_asymptotic(lambda_prime: float, k: int) -> float:
-    """Leading-order tail: the point mass at j decays like
-    e^{-alpha j} j^{-3/2} / (sqrt(2 pi) lambda'); the tail sums that
-    expression from j = k.  A single term underestimates the tail by up
-    to 1/(1 - e^{-alpha}), so the sum is carried out numerically (it is
-    effectively geometric with ~1/alpha relevant terms)."""
-    alpha = lambda_prime - 1.0 - math.log(lambda_prime)
-    pref = 1.0 / (math.sqrt(2 * math.pi) * lambda_prime)
-    total = 0.0
-    j = k
-    j_min = k + int(50.0 / alpha) + 1
-    while True:
-        term = pref * math.exp(-alpha * j) / j**1.5
-        total += term
-        j += 1
-        if term < 1e-16 * total and j > j_min:
-            return total
 
 
 def progeny_batch(lam: float, w: WeightSpec, n: int, cap: int,
@@ -148,14 +132,15 @@ def progeny_batch(lam: float, w: WeightSpec, n: int, cap: int,
 @dataclass
 class SizeBiasedSpec:
     """Size-biased companion of a weight distribution, as the record
-    `dist`; the law itself is `WeightSpec.size_biased`."""
+    `dist`; the law itself is `WeightSpec.size_biased`.  bench/workloads.py
+    is its only caller; the package reads `w.size_biased`."""
 
     dist: WeightSpec
 
 
 def size_biased(w: WeightSpec) -> SizeBiasedSpec:
-    """`w.size_biased` wrapped in a SizeBiasedSpec, which the benchmark
-    reads as `size_biased(spec).dist`."""
+    """`w.size_biased` wrapped in a SizeBiasedSpec, which bench/workloads.py,
+    its only caller, reads as `size_biased(spec).dist`."""
     return SizeBiasedSpec(w.size_biased)
 
 
@@ -187,7 +172,8 @@ def simulate_B1(x: float, lam: float, w: WeightSpec, cap: int,
 
 def simulate_B2(lam: float, w: WeightSpec, cap: int, rng: np.random.Generator):
     """Total progeny of one B2 tree, or EXCEEDED: `progeny_batch` with
-    n = 1.  Kept per tree because the benchmark times it per tree."""
+    n = 1.  Kept per tree because bench/workloads.py, its only caller,
+    times it per tree."""
     size = int(progeny_batch(lam, w, 1, cap, rng)[0])
     return EXCEEDED if size < 0 else size
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .branching import EXCEEDED, borel_tail, progeny_batch, simulate_B1
 from .geometry import TorusConfig
-from .harness import ExperimentPlan, run_experiment, verify_coupling, verify_theory, weights_from_dict
+from .harness import ExperimentPlan, run_experiment, verify_coupling, verify_theory
 from .model import ModelConfig, WeightSpec, c_of_lambda, sample_graph
 
 
@@ -82,7 +82,7 @@ def main(argv=None) -> int:
             for point in plan.sweep:
                 point.weight_spec()  # a bad weight key fails here, not mid-run
         elif args.command in ("theory", "branching", "export-graph"):
-            spec = weights_from_dict(_parse_weights(args.weights))
+            spec = WeightSpec.from_dict(_parse_weights(args.weights))
     except ValueError as exc:  # ParameterError, and the laws' own range checks
         ap.error(str(exc))
 

@@ -28,7 +28,8 @@ from .branching import binomial_poisson_tv
 
 ESTIMATORS = ("C_over_N2", "C_over_logN2")
 
-weights_from_dict = WeightSpec.from_dict  # the JSON form is owned by WeightSpec
+# the JSON form is owned by WeightSpec; bench/workloads.py is this alias's only caller
+weights_from_dict = WeightSpec.from_dict
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +53,7 @@ class SweepPoint:
         return lambda_of_c(self.c)
 
     def weight_spec(self) -> WeightSpec:
-        return weights_from_dict(self.weights)
+        return WeightSpec.from_dict(self.weights)
 
 
 @dataclass
@@ -113,7 +114,7 @@ def replicate_seed(root: int, point_index: int, rep: int) -> int:
 
 def _replicate_task(args) -> tuple[int, int, int]:
     N, c, weights_dict, seed = args
-    m = ModelConfig(TorusConfig(N), c, weights_from_dict(weights_dict), seed)
+    m = ModelConfig(TorusConfig(N), c, WeightSpec.from_dict(weights_dict), seed)
     g = sample_graph(m)
     return largest_component(g).largest, g.edge_count, seed
 
@@ -256,7 +257,7 @@ def verify_theory(lam: float | None = None, c: float | None = None,
         raise ValueError("give exactly one of lambda or c")
     if lam is None:
         lam = lambda_of_c(c)
-    spec = weights if isinstance(weights, WeightSpec) else weights_from_dict(weights)
+    spec = weights if isinstance(weights, WeightSpec) else WeightSpec.from_dict(weights)
     return build_report(lam, spec)
 
 

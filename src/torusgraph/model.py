@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AssumptionError, ParameterError, reject_unknown_keys
+from .errors import ParameterError, reject_unknown_keys
 from .geometry import TorusConfig, Vertex, ring_sizes
 
 LOG2X4 = 4.0 * math.log(2.0)
@@ -50,15 +50,13 @@ def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, wq
 
 
-def _grid_inverse_cdf(pdf, lo, hi, n_grid: int = 1 << 14):
-    """Sampler inverting the trapezoid cdf of `pdf` on a uniform grid."""
-    grid = np.linspace(lo, hi, n_grid + 1)
-    dens = pdf(grid)
-    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(grid))])
-    cdf /= cdf[-1]
+def _discrete_sampler(values: np.ndarray, probs: np.ndarray):
+    """Sampler of the law with mass probs[i] at values[i]: Generator.choice's
+    own draw, without its per-call checks."""
+    cdf = probs.cumsum() / probs.cumsum()[-1]
 
     def sampler(rng, n):
-        return np.interp(rng.random(n), cdf, grid)
+        return values[cdf.searchsorted(rng.random(n), side="right")]
 
     return sampler
 
@@ -74,23 +72,26 @@ _WEIGHT_KEYS = {
 class WeightSpec:
     """Distribution of the i.i.d. vertex weight W, built by the classmethods.
 
-    Every law is read-only `atoms` and `masses`, so that
-    E fn(W) = fn(atoms) @ masses, plus a sampler.  The atoms of a point
-    mass or a discrete law are its values, those of a density on a
-    finite interval its Gauss-Legendre nodes.  All laws have bounded
-    support, so every exponential tilt E(W^k e^{sW}) is finite.
+    A law is read-only `atoms` and `masses`, so that
+    E fn(W) = fn(atoms) @ masses, a sampler of W, and a sampler of its
+    size-biased law (see `size_biased`).  The atoms of a point mass or a
+    discrete law are its values, those of a truncated exponential its
+    Gauss-Legendre nodes.  All laws have bounded support, so every
+    exponential tilt E(W^k e^{sW}) is finite.
     """
 
     def __init__(self, kind: str, atoms: np.ndarray, masses: np.ndarray, sampler,
-                 support_bound: float, params: dict | None, density=None):
+                 support_bound: float, params: dict | None, tilde_sampler=None):
         atoms.flags.writeable = masses.flags.writeable = False
         self.kind = kind
         self.atoms = atoms
         self.masses = masses
         self._sampler = sampler  # sampler(rng, n) -> n draws of W
+        self._tilde_sampler = tilde_sampler  # the same for W's size-biased law, see size_biased
         self.support_bound = support_bound
         self._params = params  # JSON form of the constructor call, see to_dict
-        self._density = density  # (pdf, lo, hi) of a continuous law, see size_biased
+        live = masses > 0  # expectation skips massless atoms, where fn may overflow
+        self._live = (atoms, masses) if live.all() else (atoms[live], masses[live])
         self.mean = float(atoms @ masses)
         self.second_moment = float((atoms**2) @ masses)
 
@@ -114,50 +115,57 @@ class WeightSpec:
             raise ValueError("weights must be nonnegative")
         if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError("probabilities must be nonnegative and sum to 1")
-        cdf = probs.cumsum() / probs.cumsum()[-1]
-
-        def sampler(rng, n):
-            # Generator.choice(values, n, p=probs)'s own draw, without its per-call checks
-            return values[cdf.searchsorted(rng.random(n), side="right")]
-
-        return cls("discrete", values, probs, sampler, float(values.max()),
+        return cls("discrete", values, probs, _discrete_sampler(values, probs), float(values.max()),
                    {"kind": "discrete", "values": values.tolist(), "probs": probs.tolist()})
 
     @classmethod
-    def continuous(cls, pdf, lo: float, hi: float, n_nodes: int = 400, sampler=None) -> "WeightSpec":
-        lo, hi = float(lo), float(hi)
-        if not (0 <= lo < hi < math.inf):
-            raise AssumptionError(
-                "continuous weights need a finite support [lo, hi) with 0 <= lo < hi"
-            )
+    def truncated_exponential(cls, rate: float = 1.0, upper: float = 8.0, n_nodes: int = 400) -> "WeightSpec":
+        """Exponential(rate) conditioned on [0, upper], on n_nodes
+        Gauss-Legendre nodes.  Its size-biased law, density proportional to
+        y e^{-rate y} on [0, upper], is Gamma(2, 1/rate) given <= upper, and
+        equally W1 + W2 given W1 + W2 <= upper for independent copies of W.
+        It proposes the first when rate * upper >= 2, else the second,
+        which is accepted with probability >= 1/2 where the Gamma's
+        acceptance falls to 0.  A Gamma proposal costs about half a pair of
+        W draws; in the few-draw calls of the progeny walks it is the
+        faster one from rate * upper of about 1.5 up."""
+        rate, upper = float(rate), float(upper)
+        if not (rate > 0 and 0 < upper < math.inf):
+            raise ValueError("rate must be positive, upper positive and finite")
+        Z = 1.0 - math.exp(-rate * upper)
         x, wq = _gauss_legendre(int(n_nodes))
-        nodes = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        qw = 0.5 * (hi - lo) * wq * pdf(nodes)
+        nodes = 0.5 * upper * x + 0.5 * upper
+        qw = 0.5 * upper * wq * (rate * np.exp(-rate * nodes) / Z)
         total = qw.sum()
         if not 1 - 1e-8 < total < 1 + 1e-8:
-            raise ValueError(f"density does not integrate to 1 on [{lo},{hi}]: {total}")
-        # dividing by total absorbs quadrature round-off
-        return cls("continuous", nodes, qw / total, sampler or _grid_inverse_cdf(pdf, lo, hi),
-                   hi, None, density=(pdf, lo, hi))
-
-    @classmethod
-    def truncated_exponential(cls, rate: float = 1.0, upper: float = 8.0, n_nodes: int = 400) -> "WeightSpec":
-        """Exponential(rate) conditioned on [0, upper]."""
-        if rate <= 0 or upper <= 0:
-            raise ValueError("rate and upper must be positive")
-        Z = 1.0 - math.exp(-rate * upper)
-
-        def pdf(x):
-            return rate * np.exp(-rate * np.asarray(x)) / Z
+            raise ValueError(f"density does not integrate to 1 on [0,{upper}]: {total}")
 
         def sampler(rng, n):
             u = rng.random(n)
             return -np.log1p(-u * Z) / rate
 
-        spec = cls.continuous(pdf, 0.0, upper, n_nodes, sampler)
-        spec._params = {"kind": "truncated_exponential", "rate": float(rate),
-                        "upper": float(upper), "n_nodes": int(n_nodes)}
-        return spec
+        def gamma2(rng, n):
+            return rng.gamma(2.0, 1.0 / rate, n)
+
+        def pair_sum(rng, n):
+            y = sampler(rng, 2 * n)
+            return y[:n] + y[n:]
+
+        propose = gamma2 if rate * upper >= 2 else pair_sum
+
+        def tilde_sampler(rng, n):  # only the rejected entries are redrawn
+            y = propose(rng, n)
+            bad = (y > upper).nonzero()[0]
+            while bad.size:
+                z = propose(rng, bad.size)
+                y[bad] = z
+                bad = bad[z > upper]
+            return y
+
+        # dividing by total absorbs quadrature round-off
+        return cls("truncated_exponential", nodes, qw / total, sampler, upper,
+                   {"kind": "truncated_exponential", "rate": rate, "upper": upper,
+                    "n_nodes": int(n_nodes)}, tilde_sampler)
 
     # -- JSON form ---------------------------------------------------------
 
@@ -184,19 +192,18 @@ class WeightSpec:
     def to_dict(self) -> dict:
         """JSON form that `from_dict` turns back into the same law.
 
-        A continuous law built from a user density has none: the density
-        is code, not data."""
+        A size-biased law has none: it is derived from a law that has."""
         if self._params is None:
-            raise ParameterError(
-                "a continuous weight law built from a user density has no JSON form"
-            )
+            raise ParameterError("a size-biased weight law has no JSON form")
         return dict(self._params)
 
     # -- queries -----------------------------------------------------------
 
     def expectation(self, fn) -> float:
-        """E[fn(W)] with fn vectorized over arrays."""
-        return float(fn(self.atoms) @ self.masses)
+        """E[fn(W)] with fn vectorized over arrays: the sum over the atoms
+        of positive mass."""
+        atoms, masses = self._live
+        return float(fn(atoms) @ masses)
 
     def moment(self, k: int) -> float:
         return self.expectation(lambda x: x**k)
@@ -208,22 +215,25 @@ class WeightSpec:
 
     @functools.cached_property
     def size_biased(self) -> "WeightSpec":
-        """Law of the size-biased weight: mass y dmu(y) reweighted by
-        1 / E W.  A density is reweighted and gets a fresh quadrature on
-        as many nodes; a one-atom law is its own size-biased law."""
+        """Law of the size-biased weight, y mu(dy) / E W: W's own atoms
+        with masses atoms * masses / E W.  It is drawn by the sampler the
+        law supplies, exact for every constructor law; a point mass or a
+        discrete law supplies none and draws from those masses, which is
+        also how the size-biased law of a size-biased law is drawn (an
+        approximation for a truncated exponential, on its nodes).  A
+        one-atom law is its own size-biased law."""
         M = self.mean
         if M <= 0:
             raise ValueError("size biasing needs E W > 0")
-        if self._density is not None:
-            pdf, lo, hi = self._density
-            return WeightSpec.continuous(lambda y: np.asarray(y) * pdf(y) / M, lo, hi, self.atoms.size)
         if self.atoms.size == 1:
             return self
-        return WeightSpec.discrete(self.atoms, self.atoms * self.masses / M)
+        masses = self.atoms * self.masses / M
+        sampler = self._tilde_sampler or _discrete_sampler(self.atoms, masses)
+        return WeightSpec("size_biased", self.atoms, masses, sampler, self.support_bound, None)
 
     def __repr__(self) -> str:
         if self._params is None:
-            return f"WeightSpec.{self.kind}(<user density>)"
+            return f"WeightSpec.size_biased(<{self.atoms.size} atoms>)"
         args = ", ".join(f"{k}={v!r}" for k, v in self._params.items() if k != "kind")
         return f"WeightSpec.{self._params['kind']}({args})"
 

@@ -18,7 +18,6 @@ from torusgraph.branching import (
     borel_tail,
     progeny_batch,
     simulate_B1,
-    size_biased,
 )
 from torusgraph.components import component_decomposition, largest_component
 from torusgraph.geometry import TorusConfig, ring_sizes
@@ -175,7 +174,7 @@ def test_criterion_07_two_process_identity():
     pvals = []
     for case, (lam, w) in enumerate(cases):
         rng = rng_for(replicate_seed(707, case, 0))
-        tilde = size_biased(w).dist
+        tilde = w.size_biased
         roots = tilde.sample(n, rng)
         b1 = np.fromiter(
             (cap + 1 if s is EXCEEDED else s

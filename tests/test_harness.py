@@ -6,7 +6,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from torusgraph.cli import main as cli_main
@@ -18,7 +17,6 @@ from torusgraph.harness import (
     run_experiment,
     verify_coupling,
     verify_theory,
-    weights_from_dict,
 )
 from torusgraph.model import WeightSpec, c_of_lambda, lambda_of_c
 
@@ -36,21 +34,27 @@ def small_plan(**over):
 
 class TestWeightsDict:
     def test_default_constant(self):
-        w = weights_from_dict(None)
+        w = WeightSpec.from_dict(None)
         assert w.kind == "constant" and w.mean == 1.0
 
     def test_discrete_roundtrip(self):
         d = {"kind": "discrete", "values": [1.0, 2.0], "probs": [0.5, 0.5]}
-        w = weights_from_dict(d)
+        w = WeightSpec.from_dict(d)
         assert w.to_dict() == d
 
     def test_truncated_exponential(self):
-        w = weights_from_dict({"kind": "truncated_exponential", "rate": 1.0, "upper": 4.0})
+        w = WeightSpec.from_dict({"kind": "truncated_exponential", "rate": 1.0, "upper": 4.0})
         assert w.support_bound == 4.0
+
+    def test_size_biased_has_no_dict_form(self):
+        tilde = WeightSpec.discrete([1.0, 2.0], [0.5, 0.5]).size_biased
+        assert repr(tilde) == "WeightSpec.size_biased(<2 atoms>)"
+        with pytest.raises(ParameterError, match="no JSON form"):
+            tilde.to_dict()
 
     def test_unknown_kind(self):
         with pytest.raises(ParameterError, match="'lognormal'"):
-            weights_from_dict({"kind": "lognormal"})
+            WeightSpec.from_dict({"kind": "lognormal"})
 
     @pytest.mark.parametrize("d", [
         {"kind": "constant", "value": 1.5},
@@ -58,23 +62,18 @@ class TestWeightsDict:
         {"kind": "truncated_exponential", "rate": 2.0, "upper": 6.0, "n_nodes": 300},
     ])
     def test_roundtrip_every_kind(self, d):
-        w = weights_from_dict(d)
+        w = WeightSpec.from_dict(d)
         assert w.to_dict() == d
-        back = weights_from_dict(json.loads(json.dumps(w.to_dict())))
+        back = WeightSpec.from_dict(json.loads(json.dumps(w.to_dict())))
         assert back.kind == w.kind
         assert back.support_bound == w.support_bound
         assert back.mean == w.mean and back.second_moment == w.second_moment
 
     def test_truncated_exponential_defaults_roundtrip(self):
-        w = weights_from_dict({"kind": "truncated_exponential"})
+        w = WeightSpec.from_dict({"kind": "truncated_exponential"})
         d = w.to_dict()
         assert d == {"kind": "truncated_exponential", "rate": 1.0, "upper": 8.0, "n_nodes": 400}
-        assert weights_from_dict(d).to_dict() == d
-
-    def test_user_density_has_no_dict_form(self):
-        w = WeightSpec.continuous(lambda x: np.full_like(x, 0.5), 0.0, 2.0)
-        with pytest.raises(ParameterError):
-            w.to_dict()
+        assert WeightSpec.from_dict(d).to_dict() == d
 
     @pytest.mark.parametrize("d, key", [
         ({"kind": "truncated_exponential", "rate": 1.0, "uper": 4.0}, "uper"),
@@ -84,7 +83,7 @@ class TestWeightsDict:
     def test_unknown_key_rejected(self, d, key):
         # a misspelled key would silently run the default law instead
         with pytest.raises(ParameterError, match=repr(key)):
-            weights_from_dict(d)
+            WeightSpec.from_dict(d)
 
 
 class TestPlanParsing:

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from torusgraph.branching import size_biased
 from torusgraph.errors import ParameterError
 from torusgraph.geometry import TorusConfig, kernel, ring_sizes, torus_distance
 from torusgraph.model import (
@@ -68,8 +67,35 @@ class TestWeightSpec:
         assert abs(x.mean() - mean) < 0.02
 
     def test_continuous_requires_normalized_density(self):
-        with pytest.raises(ValueError):
-            WeightSpec.continuous(lambda x: np.full_like(np.asarray(x, float), 2.0), 0.0, 1.0)
+        # three nodes cannot integrate the density to within 1e-8
+        with pytest.raises(ValueError, match="does not integrate to 1"):
+            WeightSpec.truncated_exponential(1.0, 8.0, n_nodes=3)
+
+    @pytest.mark.parametrize("w", [
+        WeightSpec.constant(2.0),
+        WeightSpec.discrete([0.0, 1.0, 2.0, 5.0], [0.1, 0.4, 0.3, 0.2]),
+        WeightSpec.truncated_exponential(1.0, 8.0),
+    ], ids=["constant2", "discrete4", "trunc_exp8"])
+    def test_size_biased_reweights_own_atoms(self, w):
+        tilde = w.size_biased
+        assert tilde.atoms.tolist() == w.atoms.tolist()
+        np.testing.assert_allclose(tilde.masses, w.atoms * w.masses / w.mean, rtol=0, atol=1e-15)
+        assert tilde.mean == pytest.approx(w.second_moment / w.mean, rel=1e-12)
+
+    @pytest.mark.parametrize("rate", [1.0, 2.0, 0.25])
+    def test_size_biased_truncated_exponential_exact(self, rate):
+        # density y e^{-rate y} on [0, u], drawn without any grid; rate
+        # 0.25 (rate * u < 2) takes the pair-sum proposal
+        from scipy.stats import kstest
+
+        u = 6.0
+
+        def cdf(y):
+            return (1 - (1 + rate * y) * np.exp(-rate * y)) / (1 - (1 + rate * u) * math.exp(-rate * u))
+
+        draws = WeightSpec.truncated_exponential(rate, u).size_biased.sample(200_000, rng_for(17))
+        assert draws.max() <= u
+        assert kstest(draws, cdf).pvalue > 0.01
 
     @pytest.mark.parametrize("w, draws, tilde_draws, tilde_mean", [
         (WeightSpec.constant(2.0), [2.0] * 4, [2.0] * 4, 2.0),
@@ -77,19 +103,13 @@ class TestWeightSpec:
          1.6666666666666665),
         (WeightSpec.truncated_exponential(1.0, 8.0),
          [0.0691138785530691, 0.08228055928653663, 0.005791920861085398, 1.6413730771997557],
-         [2.3302443936382997, 3.0668936909775204, 2.7600646529505255, 3.35591077441264],
-         1.978465375257978),
-        (WeightSpec.continuous(lambda x: np.full_like(np.asarray(x, float), 0.5), 0.0, 2.0),
-         [0.1336040186793126, 0.1580259647098059, 0.011554236061560585, 1.6131133882699074],
-         [1.6469461044468034, 1.8034162628969725, 1.748532994121545, 1.844607881658917],
-         1.3333333333333157),
-    ], ids=["constant2", "discrete12", "trunc_exp8", "uniform02"])
+         [0.633779605328978, 1.7979163457151768, 2.6748102241518277, 0.8598598879087299],
+         1.9784653752579782),
+    ], ids=["constant2", "discrete12", "trunc_exp8"])
     def test_pinned_weight_streams(self, w, draws, tilde_draws, tilde_mean):
         # the W and size-biased W streams every sampler and progeny walk
-        # reads; a storage change must not move a single draw.  The
-        # size-biased law is reached through the wrapper that predates
-        # WeightSpec.size_biased, so these literals check both.
-        tilde = size_biased(w).dist
+        # reads; a storage change must not move a single draw
+        tilde = w.size_biased
         assert w.sample(4, rng_for(1)).tolist() == draws
         assert tilde.sample(4, rng_for(2)).tolist() == tilde_draws
         assert tilde.mean == tilde_mean

@@ -199,6 +199,13 @@ class TestReport:
     def test_trichotomy(self):
         for lam, expect in ((0.3, "subcritical"), (0.4, "critical"), (0.6, "supercritical")):
             assert build_report(lam, W12).regime == expect
+        # a wide truncated exponential: at the far nodes the quadrature
+        # mass underflows to 0 while y^k e^{sy} overflows, and those atoms
+        # carry no mass, so the constants stay finite and converge in upper
+        wide, narrower = (build_report(0.01, WeightSpec.truncated_exponential(1.0, upper))
+                          for upper in (2000.0, 800.0))
+        assert wide.regime == "subcritical"
+        assert wide.sub_const_weighted == pytest.approx(narrower.sub_const_weighted, abs=1e-9)
 
     def test_json_roundtrip(self):
         r = build_report(2.0, W12)
