@@ -18,9 +18,9 @@ weight layers of the largest sampled weight B, and the slots of each
 M_a of the layer times B in the half view, M_a^2 in the full view.
 Each graph takes the view with the smaller expected proposal count,
 decided from its weights alone.  One random stream per graph draws the
-weights, a Binomial proposal count per group, distinct slots per chunk
-of groups, and the thinning of each proposal by its actual weight
-product, so the sampled law is exact, not approximate.
+weights, a Poisson proposal count per group, uniform slots per chunk of
+groups with repeats merged, and the thinning of each proposal by its
+actual weight product, so the sampled law is exact, not approximate.
 """
 
 from __future__ import annotations
@@ -81,13 +81,14 @@ class WeightSpec:
     """
 
     def __init__(self, kind: str, atoms: np.ndarray, masses: np.ndarray, sampler,
-                 support_bound: float, params: dict | None, tilde_sampler=None):
+                 support_bound: float, params: dict | None, tilde_sampler=None, on_atoms=True):
         atoms.flags.writeable = masses.flags.writeable = False
         self.kind = kind
         self.atoms = atoms
         self.masses = masses
         self._sampler = sampler  # sampler(rng, n) -> n draws of W
         self._tilde_sampler = tilde_sampler  # the same for W's size-biased law, see size_biased
+        self._on_atoms = on_atoms  # whether W takes only the values in atoms, not quadrature nodes
         self.support_bound = support_bound
         self._params = params  # JSON form of the constructor call, see to_dict
         live = masses > 0  # expectation skips massless atoms, where fn may overflow
@@ -165,7 +166,7 @@ class WeightSpec:
         # dividing by total absorbs quadrature round-off
         return cls("truncated_exponential", nodes, qw / total, sampler, upper,
                    {"kind": "truncated_exponential", "rate": rate, "upper": upper,
-                    "n_nodes": int(n_nodes)}, tilde_sampler)
+                    "n_nodes": int(n_nodes)}, tilde_sampler, on_atoms=False)
 
     # -- JSON form ---------------------------------------------------------
 
@@ -217,19 +218,23 @@ class WeightSpec:
     def size_biased(self) -> "WeightSpec":
         """Law of the size-biased weight, y mu(dy) / E W: W's own atoms
         with masses atoms * masses / E W.  It is drawn by the sampler the
-        law supplies, exact for every constructor law; a point mass or a
-        discrete law supplies none and draws from those masses, which is
-        also how the size-biased law of a size-biased law is drawn (an
-        approximation for a truncated exponential, on its nodes).  A
-        one-atom law is its own size-biased law."""
+        law supplies, exact for every constructor law.  A law that takes
+        only the values in its atoms (a point mass, a discrete law and
+        their size-biased laws) supplies none and draws from those masses.
+        The size-biased law of a truncated exponential's size-biased law
+        has neither, as its atoms are quadrature nodes, and raises
+        ValueError.  A one-atom law is its own size-biased law."""
         M = self.mean
         if M <= 0:
             raise ValueError("size biasing needs E W > 0")
         if self.atoms.size == 1:
             return self
+        if self._tilde_sampler is None and not self._on_atoms:
+            raise ValueError("no exact sampler for this size-biased law: its atoms are quadrature nodes")
         masses = self.atoms * self.masses / M
         sampler = self._tilde_sampler or _discrete_sampler(self.atoms, masses)
-        return WeightSpec("size_biased", self.atoms, masses, sampler, self.support_bound, None)
+        return WeightSpec("size_biased", self.atoms, masses, sampler, self.support_bound, None,
+                          on_atoms=self._on_atoms)
 
     def __repr__(self) -> str:
         if self._params is None:
@@ -330,7 +335,7 @@ class Graph:
     N: int
     weights: np.ndarray
     edges: np.ndarray
-    proposals: int = 0  # slots sample_graph drew, phantom and non-owner ones included; pairs the reference tried
+    proposals: int = 0  # distinct slots sample_graph proposed (phantom, non-owner too); pairs the reference tried
 
     def __post_init__(self):
         self._indptr: np.ndarray | None = None
@@ -471,41 +476,7 @@ def slot_table(N: int) -> SlotTable:
 
 MAX_LAYER = 12  # weights at most B / 2^12 share the lowest layer, zero included
 CHUNK = 1 << 14  # proposals per batch of consecutive (ring, layer) groups
-
-
-def _uniform_distinct(rng: np.random.Generator, start: np.ndarray, size: np.ndarray,
-                      k: np.ndarray) -> np.ndarray:
-    """Sorted union over groups i of a uniform k[i]-subset of
-    [start[i], start[i] + size[i]); the ranges are disjoint and ascending.
-    Dense groups (3k >= size) take the first k[i] of their slots in one
-    uniform permutation of all dense slots; the relative orders of
-    disjoint sets in it are independent and uniform.  The other groups
-    draw with replacement and redraw only the collided entries, which is
-    the sequential rejection scheme in batched form.  Either way each
-    group's subset has a law invariant under permutations of its range,
-    hence uniform, independently across groups."""
-    dense = 3 * k >= size
-    parts = []
-    d, s = dense.nonzero()[0], (~dense).nonzero()[0]
-    if d.size:
-        off = size[d].cumsum() - size[d]  # dense group i holds off[i] + range(size[d[i]])
-        perm = rng.permutation(off[-1] + size[d[-1]])
-        grp = off.searchsorted(perm, side="right") - 1
-        by = grp.argsort(kind="stable")  # by group, in permutation order
-        g = grp[by]
-        first = np.arange(by.size) - off[g] < k[d][g]
-        parts.append(perm[by][first] + (start[d] - off)[g[first]])
-    if s.size:
-        s = s.repeat(k[s])
-        parts.append(start[s] + rng.integers(0, size[s]))
-    x = np.sort(np.concatenate(parts))
-    while True:
-        dup = x[1:] == x[:-1]
-        i = dup.nonzero()[0]
-        if not i.size:
-            return x
-        grp = start.searchsorted(x[i], side="right") - 1
-        x = np.sort(np.concatenate([x[:-1][~dup], x[-1:], start[grp] + rng.integers(0, size[grp])]))
+EVERY_SLOT = 1 - math.exp(-1)  # caps above it propose each slot once: there -P log(1 - q) > P
 
 
 def _weight_layers(weights: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
@@ -543,15 +514,20 @@ def sample_graph(m: ModelConfig, seed: int | None = None) -> Graph:
     """Sample the graph by layered ring thinning; exact and near-linear.
 
     One Philox stream per graph: the vertex weights first, then the
-    proposal counts of all (ring, weight layer) groups in one Binomial
-    call, then per chunk of groups the distinct slots and their thinning
-    uniforms.  With B the largest sampled weight, vertex u sits in the
-    dyadic layer a = floor(log2(B / W_u)), capped at MAX_LAYER, and M_a
-    is the largest weight in layer a.  Every slot (o, u) of ring r with u
-    in layer a is proposed independently with probability q: a
-    Binomial(P, q) count of distinct slots drawn uniformly among the
-    group's P = |V_r| n_a, where V_r is the ring's offsets in the chosen
-    view of `SlotTable`.
+    proposal counts of all (ring, weight layer) groups in one Poisson
+    call, then per chunk of groups the slots and their thinning uniforms.
+    With B the largest sampled weight, vertex u sits in the dyadic layer
+    a = floor(log2(B / W_u)), capped at MAX_LAYER, and M_a is the largest
+    weight in layer a.  Every slot (o, u) of ring r with u in layer a is
+    proposed independently with probability q among the group's
+    P = |V_r| n_a slots, where V_r is the ring's offsets in the chosen
+    view of `SlotTable`.  The group draws a Poisson(-P log(1 - q)) count
+    of slots uniformly with replacement and proposes each slot hit once:
+    the per-slot hit counts are then i.i.d. Poisson(-log(1 - q)), so a
+    slot is hit with probability exactly q.  A group with q above
+    EVERY_SLOT = 1 - 1/e, where that count's mean would exceed P,
+    proposes each of its slots once instead and thins with q = 1, so no
+    group draws more than about twice its expected proposals.
 
     - Half view, V_r = H_r, q = min{c M_a B / (N r), 1}: phantom slots
       are dropped.
@@ -566,7 +542,8 @@ def sample_graph(m: ModelConfig, seed: int | None = None) -> Graph:
     alone, which are drawn first, so the law given the weights is exact
     either way.  When every weight exceeds B/2 there is one layer, whose
     keys are the slot keys themselves; when every weight equals B,
-    p(u,v) = q and no thinning draw is made.
+    p(u,v) = q and no thinning draw is made unless some group proposes
+    every slot.
 
     Groups are handled in chunks of consecutive groups of about CHUNK
     proposals each, which bounds memory.  Measured with numpy 2.4 on a
@@ -576,7 +553,7 @@ def sample_graph(m: ModelConfig, seed: int | None = None) -> Graph:
     discrete([1, 8, 64], [.9, .09, .01]) at lambda E(W^2) = 0.3, 18.6
     instead of 28.4.  At N=800, lambda=2 with constant weights (half
     view) a graph takes about 0.08 s with a 49 MB allocation peak.
-    `Graph.proposals` records the number of slots drawn.
+    `Graph.proposals` records the number of distinct slots proposed.
     """
     cfg = m.torus
     N, n = cfg.N, cfg.n_vertices
@@ -594,20 +571,33 @@ def sample_graph(m: ModelConfig, seed: int | None = None) -> Graph:
     start = (n * slots.ring_start[1:-1, None] + V * base).ravel()
     q = q.ravel()
     scale = ring_scale.repeat(L)
-    counts = rng.binomial(size, q)
-    thin = float(weights.min()) < top[0]  # some weight below B
+    every = q > EVERY_SLOT
+    # a full group's Poisson draw is unused; clipping its q keeps the log finite
+    counts = np.where(every, size, rng.poisson(-size * np.log1p(-np.minimum(q, EVERY_SLOT))))
+    q[every] = 1.0  # their chance to propose a slot
+    thin = float(weights.min()) < top[0] or bool(every.any())  # p(u,v) < q somewhere
 
-    proposals = int(counts.sum())
+    proposals = 0
     nz = counts.nonzero()[0]
     chunks = [nz] if nz.size else []
-    if proposals > CHUNK:
+    if counts.sum() > CHUNK:
         before = np.cumsum(counts[nz]) - counts[nz]
         chunks = np.split(nz, np.diff(before // CHUNK).nonzero()[0] + 1)
     srcs: list[np.ndarray] = []
     dsts: list[np.ndarray] = []
     for g in chunks:
-        key = _uniform_distinct(rng, start[g], size[g], counts[g])
         gi = np.repeat(g, counts[g])
+        if every[g].any():  # a full group takes each of its slots once, the others draw theirs
+            draw = ~every[gi]
+            rel = np.arange(gi.size) - np.repeat(np.cumsum(counts[g]) - counts[g], counts[g])
+            rel[draw] = rng.integers(0, size[gi[draw]])
+        else:
+            rel = rng.integers(0, size[gi])
+        key = np.sort(start[gi] + rel)  # the groups' key ranges ascend with g, so gi stays aligned
+        rep = np.flatnonzero(key[1:] == key[:-1])  # a slot hit more than once is proposed once
+        if rep.size:
+            key, gi = np.delete(key, rep), np.delete(gi, rep)
+        proposals += key.size
         if order is None:  # one layer: the keys are slot keys o * n + u
             o, u, v = slots.decode(key)
         else:  # key - start = o' * n_a + t: offset o' of the ring, t-th vertex of layer a
@@ -619,7 +609,8 @@ def sample_graph(m: ModelConfig, seed: int | None = None) -> Graph:
             o += slots.ring_start[1 + ring]
             v = slots.partner(o, u)
         keep = slots.owns(o, u, v, weights if full else None)
-        if thin:  # U q < p(u,v), as p(u,v) <= q, and q = 1 wherever scale W_u W_v > 1
+        # U q < p(u,v), as p(u,v) <= q, and q = 1 where scale W_u W_v > 1 or every slot is proposed
+        if thin:
             keep &= rng.random(key.size) * q[gi] < scale[gi] * (weights[u] * weights[v])
         srcs.append(u[keep])
         dsts.append(v[keep])
@@ -638,9 +629,9 @@ def sample_graph(m: ModelConfig, seed: int | None = None) -> Graph:
 def sample_graph_reference(m: ModelConfig, seed: int | None = None) -> Graph:
     """O(N^4) per-pair reference sampler (small N only).
 
-    Walks every unordered pair in canonical index order.  The weights
-    come first from the same stream as in `sample_graph`, so both
-    samplers see the same weights for a seed.
+    One uniform per unordered pair, in canonical index order, against
+    p(u,v).  The weights come first from the same stream as in
+    `sample_graph`, so both samplers see the same weights for a seed.
     """
     cfg = m.torus
     N, n = cfg.N, cfg.n_vertices
@@ -650,14 +641,8 @@ def sample_graph_reference(m: ModelConfig, seed: int | None = None) -> Graph:
     weights = m.weights.sample(n, rng)
 
     d = cfg.offset_dist
-    idx = np.arange(n)
-    i, j = idx // N, idx % N
-    dist = d[np.abs(i[:, None] - i[None, :])] + d[np.abs(j[:, None] - j[None, :])]
-    edges = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            p = min(m.c * weights[a] * weights[b] / (N * dist[a, b]), 1.0)
-            if rng.random() < p:
-                edges.append((a, b))
-    arr = np.array(edges, dtype=np.int64) if edges else np.empty((0, 2), dtype=np.int64)
-    return Graph(N, weights, arr, n * (n - 1) // 2)
+    a, b = np.triu_indices(n, 1)
+    dist = d[np.abs(a // N - b // N)] + d[np.abs(a % N - b % N)]
+    p = np.minimum(m.c * weights[a] * weights[b] / (N * dist), 1.0)
+    edge = rng.random(a.size) < p
+    return Graph(N, weights, np.stack([a[edge], b[edge]], axis=1), n * (n - 1) // 2)

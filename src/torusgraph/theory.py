@@ -134,25 +134,12 @@ def theorem3_constants(lam: float, w: WeightSpec):
         e2 = tilt_moments(w, s, 2)
         return e1 / (lam * M * e2) - y
 
-    # residual(1) = 1/(lambda E W^2) - 1 > 0; the ratio E1/E2 is bounded
-    # by 1/(smallest relevant weight) as y grows, so the residual turns
-    # negative; bracket by doubling.
-    lo = 1.0
-    hi = 2.0
-    for _ in range(200):
-        try:
-            val = residual(hi)
-        except (OverflowError, FloatingPointError):
-            raise AssumptionError("tilted moments diverged before a root was bracketed")
-        if not math.isfinite(val):
-            raise AssumptionError("tilted moments diverged before a root was bracketed")
-        if val < 0:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise AssumptionError("could not bracket the tilted fixed point")
-    y = float(brentq(residual, lo, hi, xtol=1e-15, rtol=8.9e-16))
+    # E(W e^{sW}) / E(W^2 e^{sW}) is non-increasing in s >= 0: its reciprocal
+    # is the mean of the law y e^{sy} mu(dy), whose s-derivative is a
+    # variance.  So residual(1) = 1/crit - 1 > 0 and residual(1/crit) <= 0;
+    # a one-atom law has its root at 1/crit itself, up to round-off
+    hi = 1.0 / crit
+    y = hi if residual(hi) >= 0 else float(brentq(residual, 1.0, hi, xtol=1e-15, rtol=8.9e-16))
     assert abs(residual(y)) < 1e-10
     s = lam * M * (y - 1.0)
     gamma = 1.0 / (lam * tilt_moments(w, s, 2))

@@ -161,17 +161,17 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("plan,expected", [
         ({"N": 30, "lambda": 2.0, "replicates": 3, "seed": 2024}, [
-            (5514401882974304769, 717, 890),
-            (5969099755387220158, 719, 928),
-            (1150912202361056230, 696, 848),
+            (5514401882974304769, 726, 895),
+            (5969099755387220158, 733, 925),
+            (1150912202361056230, 654, 847),
         ]),
         # odd N and weights spread over several layers: the layered decode,
         # in the full view (owner slots) for these weights
         ({"N": 31, "lambda": 0.6, "replicates": 3, "seed": 2024,
           "weights": {"kind": "truncated_exponential", "rate": 1.0, "upper": 8.0}}, [
-            (5514401882974304769, 160, 275),
-            (5969099755387220158, 122, 283),
-            (1150912202361056230, 84, 272),
+            (5514401882974304769, 57, 273),
+            (5969099755387220158, 98, 298),
+            (1150912202361056230, 156, 296),
         ]),
     ], ids=["N30-constant", "N31-truncexp"])
     def test_pinned_rows(self, plan, expected):

@@ -82,6 +82,17 @@ class TestWeightSpec:
         np.testing.assert_allclose(tilde.masses, w.atoms * w.masses / w.mean, rtol=0, atol=1e-15)
         assert tilde.mean == pytest.approx(w.second_moment / w.mean, rel=1e-12)
 
+    def test_size_biased_twice(self):
+        # a discrete law's atoms are its support, so W~ of W~ reweights them
+        # again, exactly: masses proportional to y^2 mu(y)
+        twice = WeightSpec.discrete([1.0, 2.0], [0.5, 0.5]).size_biased.size_biased
+        np.testing.assert_allclose(twice.masses, [0.2, 0.8], rtol=0, atol=1e-15)
+        x = twice.sample(100_000, rng_for(5))
+        assert set(np.unique(x).tolist()) == {1.0, 2.0} and abs((x == 2.0).mean() - 0.8) < 0.006
+        # a truncated exponential's atoms are quadrature nodes: no exact sampler
+        with pytest.raises(ValueError, match="quadrature nodes"):
+            WeightSpec.truncated_exponential(1.0, 6.0).size_biased.size_biased
+
     @pytest.mark.parametrize("rate", [1.0, 2.0, 0.25])
     def test_size_biased_truncated_exponential_exact(self, rate):
         # density y e^{-rate y} on [0, u], drawn without any grid; rate
@@ -293,9 +304,11 @@ class TestSampleGraph:
             pairs |= {(min(i, int(j)), max(i, int(j))) for j in nb}
         assert pairs == {(int(a), int(b)) for a, b in g.edges}
 
-    def test_mean_edge_count(self):
+    # N=5, c=3.5: ring 1's cap 0.7 is above 1 - 1/e, so that group
+    # proposes every slot and must thin even with equal weights
+    @pytest.mark.parametrize("N, c, reps", [(50, 1.0, 200), (5, 3.5, 1000)], ids=["N50", "N5-every-slot"])
+    def test_mean_edge_count(self, N, c, reps):
         # E(edges) = sum over pairs of p(u,v) = N^2 sum_r N_r p_r / 2
-        N, c, reps = 50, 1.0, 200
         cfg = TorusConfig(N)
         m = ModelConfig(cfg, c)
         expect = N * N * mean_degree(c, cfg) / 2.0
@@ -372,6 +385,19 @@ class TestSampleGraph:
         sd = np.sqrt(np.maximum(fast[iu, ju] + ref[iu, ju], 1.0))
         assert np.all(np.abs(diff) < 5 * sd)
 
+    @pytest.mark.parametrize("N, c", [(3, 0.9), (4, 0.9), (4, 5.0)])
+    def test_reference_is_the_pairwise_loop(self, N, c):
+        # one uniform per pair in canonical order, capped p included
+        m = ModelConfig(TorusConfig(N), c, WeightSpec.discrete([0.5, 2.0], [0.5, 0.5]))
+        n = N * N
+        for s in range(5):
+            rng = np.random.Generator(np.random.Philox(s))
+            wt = m.weights.sample(n, rng)
+            loop = [(a, b) for a in range(n) for b in range(a + 1, n)
+                    if rng.random() < edge_probability((a // N + 1, a % N + 1), (b // N + 1, b % N + 1),
+                                                       wt[a], wt[b], m)]
+            assert sample_graph_reference(m, seed=s).edges.tolist() == [list(e) for e in loop]
+
     # a zero weight, or an all-zero law's B = 0, must map to a layer without
     # a division by zero or a nan cast to an integer
     @pytest.mark.filterwarnings("error")
@@ -428,11 +454,11 @@ class TestSampleGraph:
 
     @pytest.mark.parametrize("N, lam, w, seed, digest", [
         (30, 2.0, WeightSpec.constant(), 3,
-         "b475116eca121a997fcba1ce13af03f41500382fc7a7cebbaa4e757a5ceea5ea"),
+         "39b76f70eb50372f45d74c42327c0a78934fd5999a70b25f15818d0719136b1a"),
         (31, 2.0, WeightSpec.constant(), 3,
-         "7666096343ad8029a8c94c6e33548510df63ebe9115809fe2e11dae48f8e58da"),
+         "9a7003b33b1f9e258ef513f8053d987bc24a3845812af88e2f37fa0b322f4a90"),
         (400, 0.3, WeightSpec.discrete([1.0, 2.0], [0.5, 0.5]), 0,
-         "63fdc7e43489d03c311e19790193c5d3f9f8bf5c1fdae4275206f8e951a67b1a"),
+         "19289835c34beaea814026d0f70102ca606b0a10eb1eeb0d627c56e80f35d305"),
     ], ids=["N30-constant", "N31-constant", "N400-discrete12"])
     def test_pinned_edge_digests(self, N, lam, w, seed, digest):
         # graphs the half view proposes keep their exact edge streams

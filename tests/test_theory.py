@@ -147,7 +147,9 @@ class TestTiltMoments:
 
 
 class TestTheorem3:
-    @pytest.mark.parametrize("lam", [0.2, 0.5, 0.8])
+    # W == 1 has its root y = 1/lambda at the bracket's end, where the
+    # residual reads 0 or, at lambda = 0.7, +2.2e-16
+    @pytest.mark.parametrize("lam", [0.2, 0.5, 0.7, 0.8])
     def test_consistency_identity(self, lam):
         y, gamma, limit = theorem3_constants(lam, WeightSpec.constant(1.0))
         assert y == pytest.approx(1 / lam, rel=1e-12)
