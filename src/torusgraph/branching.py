@@ -78,8 +78,9 @@ def progeny_batch(lam: float, w: WeightSpec, n: int, cap: int,
     times of cumsum(X - 1) through -1, -2, ...  A tree is abandoned at
     its (cap+1)-th draw and the next tree starts at the following draw;
     that draw is a stopping time, so the remaining stream stays fresh.
-    The walk is scanned in windows of min(8192, 16 * (cap + 1)) draws, so
-    an abandonment costs one window whatever the chunk size.
+    Each refill draws about 1.3 times the expected draws of the trees
+    still to come, but at most min(8192, 16 * (cap + 1)), and the walk
+    scans all of them.
     Returns an int64 array with -1 marking abandoned (EXCEEDED) trees.
     """
     if cap < 1:
@@ -93,13 +94,12 @@ def progeny_batch(lam: float, w: WeightSpec, n: int, cap: int,
     level = 0  # the current tree ends when the walk first drops below this
     used = 0   # draws of the current (open) tree before the scanned window
     mean_size = 1.0 / max(1.0 - lam * w.second_moment, 1e-3)
-    window = min(8192, 16 * (cap + 1))
     while filled < n:
         if pos == x.size:
-            chunk = int(min((n - filled) * mean_size * 1.3 + 16, 2**24))
+            chunk = int(min((n - filled) * mean_size * 1.3 + 16, 8192, 16 * (cap + 1)))
             x = rng.poisson(lam * w.mean * tilde.sample(chunk, rng))
             pos = 0
-        c = g + np.cumsum(x[pos:pos + window] - 1, dtype=np.int64)
+        c = g + np.cumsum(x[pos:] - 1, dtype=np.int64)
         mins = np.minimum.accumulate(np.minimum(c, level))
         prev = np.concatenate(([level], mins[:-1]))
         prev_b = -1  # window-local index of the previous boundary

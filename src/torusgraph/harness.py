@@ -14,13 +14,14 @@ import csv
 import io
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .components import largest_component
-from .errors import reject_unknown_keys
+from .errors import ParameterError, reject_unknown_keys
 from .geometry import TorusConfig
 from .model import ModelConfig, WeightSpec, c_of_lambda, lambda_N, lambda_of_c, sample_graph
 from .theory import TheoryReport, build_report
@@ -42,11 +43,24 @@ _POINT_KEYS = {"N", "c", "lambda", "weights"}
 _PLAN_KEYS = {"weights", "replicates", "estimator", "seed", "output"}
 
 
+def _integer(x, name: str, low: int) -> int:
+    """x as an int of at least `low`.  A fractional, infinite, non-numeric
+    or too small x raises ParameterError; a fraction is never truncated."""
+    if not (isinstance(x, numbers.Integral) or isinstance(x, float) and x.is_integer()) or x < low:
+        raise ParameterError(f"{name} must be an integer >= {low}, got {x!r}")
+    return int(x)
+
+
 @dataclass
 class SweepPoint:
     N: int
     c: float
     weights: dict = field(default_factory=_DEFAULT_WEIGHTS.copy)
+
+    def __post_init__(self):  # a bad point fails when its plan is built, before any point runs
+        self.N = _integer(self.N, "N", 2)  # N = 2 is the smallest torus
+        lambda_of_c(self.c)
+        self.weight_spec()
 
     @property
     def lam(self) -> float:
@@ -65,8 +79,8 @@ class ExperimentPlan:
     output: str | None = None
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        self.replicates = _integer(self.replicates, "replicates", 1)
+        self.seed = _integer(self.seed, "seed", 0)
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be one of {ESTIMATORS}")
 
@@ -79,14 +93,14 @@ class ExperimentPlan:
         for p in points:
             reject_unknown_keys(p, _POINT_KEYS, "a sweep point")
         weights = d.get("weights")
-        sweep = [SweepPoint(N=int(p["N"]), c=_point_c(p),
+        sweep = [SweepPoint(N=p.get("N"), c=_point_c(p),
                             weights=p.get("weights", weights) or _DEFAULT_WEIGHTS.copy())
                  for p in points]
         return cls(
             sweep=sweep,
-            replicates=int(d.get("replicates", 1)),
+            replicates=d.get("replicates", 1),
             estimator=d.get("estimator", "C_over_N2"),
-            seed=int(d.get("seed", 0)),
+            seed=d.get("seed", 0),
             output=d.get("output"),
         )
 
@@ -249,17 +263,6 @@ def _run_point(plan: ExperimentPlan, pi: int, p: SweepPoint, run) -> PointResult
 # ---------------------------------------------------------------------------
 # verification front-ends
 # ---------------------------------------------------------------------------
-
-def verify_theory(lam: float | None = None, c: float | None = None,
-                  weights: dict | WeightSpec | None = None) -> TheoryReport:
-    """Front-end to the constants module: one report per (lambda, W)."""
-    if (lam is None) == (c is None):
-        raise ValueError("give exactly one of lambda or c")
-    if lam is None:
-        lam = lambda_of_c(c)
-    spec = weights if isinstance(weights, WeightSpec) else WeightSpec.from_dict(weights)
-    return build_report(lam, spec)
-
 
 DEFAULT_TV_GRID = tuple(
     (n, lam) for n in (10, 100, 1000) for lam in (0.5, 1.0, 2.0) if lam <= n

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, reject_unknown_keys
-from .geometry import TorusConfig, Vertex, ring_sizes
+from .geometry import TorusConfig, Vertex, ring_sizes, torus_distance
 
 LOG2X4 = 4.0 * math.log(2.0)
 
@@ -91,6 +91,8 @@ class WeightSpec:
         self._on_atoms = on_atoms  # whether W takes only the values in atoms, not quadrature nodes
         self.support_bound = support_bound
         self._params = params  # JSON form of the constructor call, see to_dict
+        if not support_bound * support_bound < math.inf:  # then no atom's square overflows
+            raise ParameterError(f"E W^2 must be finite, but weights reach {support_bound:g}")
         live = masses > 0  # expectation skips massless atoms, where fn may overflow
         self._live = (atoms, masses) if live.all() else (atoms[live], masses[live])
         self.mean = float(atoms @ masses)
@@ -101,8 +103,8 @@ class WeightSpec:
     @classmethod
     def constant(cls, value: float = 1.0) -> "WeightSpec":
         w = float(value)
-        if w < 0:
-            raise ValueError("weight must be nonnegative")
+        if not 0 <= w < math.inf:
+            raise ValueError(f"weight must be nonnegative and finite, got {w}")
         return cls("constant", np.array([w]), np.array([1.0]), lambda rng, n: np.full(n, w),
                    w, {"kind": "constant", "value": w})
 
@@ -112,9 +114,9 @@ class WeightSpec:
         probs = np.array(probs, dtype=float)
         if values.shape != probs.shape or values.ndim != 1:
             raise ValueError("values and probs must be 1-D arrays of equal length")
-        if np.any(values < 0):
-            raise ValueError("weights must be nonnegative")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
+        if not np.all((values >= 0) & (values < math.inf)):
+            raise ValueError("weights must be nonnegative and finite")
+        if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-12):
             raise ValueError("probabilities must be nonnegative and sum to 1")
         return cls("discrete", values, probs, _discrete_sampler(values, probs), float(values.max()),
                    {"kind": "discrete", "values": values.tolist(), "probs": probs.tolist()})
@@ -183,8 +185,8 @@ class WeightSpec:
         reject_unknown_keys(d, _WEIGHT_KEYS[kind], f"a {kind} weight law")
         if kind == "constant":
             return cls.constant(float(d.get("value", 1.0)))
-        if kind == "discrete":
-            return cls.discrete(d["values"], d["probs"])
+        if kind == "discrete":  # a missing list fails discrete's shape check
+            return cls.discrete(d.get("values"), d.get("probs"))
         return cls.truncated_exponential(
             rate=float(d.get("rate", 1.0)), upper=float(d.get("upper", 8.0)),
             n_nodes=int(d.get("n_nodes", 400)),
@@ -249,15 +251,15 @@ class WeightSpec:
 
 def lambda_of_c(c: float) -> float:
     """Mean-degree parameter: lambda = 4 c log 2."""
-    if c < 0:
-        raise ValueError("c must be nonnegative")
+    if not 0 <= c < math.inf:
+        raise ValueError(f"c must be nonnegative and finite, got {c}")
     return c * LOG2X4
 
 
 def c_of_lambda(lam: float) -> float:
     """Inverse of lambda_of_c."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
     return lam / LOG2X4
 
 
@@ -270,22 +272,18 @@ class ModelConfig:
 
     def __post_init__(self):
         # c = 0 is allowed as the degenerate empty graph
-        if self.c < 0:
-            raise ValueError("edge-intensity parameter c must be nonnegative")
+        if not 0 <= self.c < math.inf:
+            raise ValueError(f"edge-intensity c must be nonnegative and finite, got {self.c}")
+        if self.seed < 0:  # numpy's seeding would raise only when the graph is sampled
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def from_lambda(cls, N: int, lam: float, weights: WeightSpec | None = None, seed: int = 0) -> "ModelConfig":
         return cls(TorusConfig(N), c_of_lambda(lam), weights or WeightSpec.constant(), seed)
 
-    @property
-    def lam(self) -> float:
-        return lambda_of_c(self.c)
-
 
 def edge_probability(u: Vertex, v: Vertex, wu: float, wv: float, m: ModelConfig) -> float:
     """min{c * wu * wv / (N d(u,v)), 1}; undefined on the diagonal."""
-    from .geometry import torus_distance
-
     d = torus_distance(u, v, m.torus)
     if d == 0:
         raise ValueError("no self-loops: u == v")
@@ -336,6 +334,7 @@ class Graph:
     weights: np.ndarray
     edges: np.ndarray
     proposals: int = 0  # distinct slots sample_graph proposed (phantom, non-owner too); pairs the reference tried
+    full: bool = False  # whether sample_graph proposed it in the full view of SlotTable
 
     def __post_init__(self):
         self._indptr: np.ndarray | None = None
@@ -552,8 +551,9 @@ def sample_graph(m: ModelConfig, seed: int | None = None) -> Graph:
     alone takes 11.5 and one cap c B^2 / (N r) for every slot 61; with
     discrete([1, 8, 64], [.9, .09, .01]) at lambda E(W^2) = 0.3, 18.6
     instead of 28.4.  At N=800, lambda=2 with constant weights (half
-    view) a graph takes about 0.08 s with a 49 MB allocation peak.
-    `Graph.proposals` records the number of distinct slots proposed.
+    view) a graph takes about 0.08 s with a 36 MB allocation peak.
+    `Graph.proposals` records the number of distinct slots proposed and
+    `Graph.full` the view.
     """
     cfg = m.torus
     N, n = cfg.N, cfg.n_vertices
@@ -579,12 +579,11 @@ def sample_graph(m: ModelConfig, seed: int | None = None) -> Graph:
 
     proposals = 0
     nz = counts.nonzero()[0]
-    chunks = [nz] if nz.size else []
+    chunks = [nz]
     if counts.sum() > CHUNK:
         before = np.cumsum(counts[nz]) - counts[nz]
         chunks = np.split(nz, np.diff(before // CHUNK).nonzero()[0] + 1)
-    srcs: list[np.ndarray] = []
-    dsts: list[np.ndarray] = []
+    keys: list[np.ndarray] = []  # the kept edges as lo * n + hi
     for g in chunks:
         gi = np.repeat(g, counts[g])
         if every[g].any():  # a full group takes each of its slots once, the others draw theirs
@@ -612,18 +611,12 @@ def sample_graph(m: ModelConfig, seed: int | None = None) -> Graph:
         # U q < p(u,v), as p(u,v) <= q, and q = 1 where scale W_u W_v > 1 or every slot is proposed
         if thin:
             keep &= rng.random(key.size) * q[gi] < scale[gi] * (weights[u] * weights[v])
-        srcs.append(u[keep])
-        dsts.append(v[keep])
+        u, v = u[keep], v[keep]
+        keys.append(np.minimum(u, v) * n + np.maximum(u, v))
 
-    if srcs:
-        u = np.concatenate(srcs)
-        v = np.concatenate(dsts)
-        # sorting lo*n + hi (< n^2, fits int64) is lexicographic order on (lo, hi) as hi < n
-        key = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
-        edges = np.stack([key // n, key % n], axis=1)
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
-    return Graph(N, weights, edges, proposals)
+    # sorting lo*n + hi (< n^2, fits int64) is lexicographic order on (lo, hi) as hi < n
+    key = np.sort(np.concatenate(keys))
+    return Graph(N, weights, np.stack(np.divmod(key, n), axis=1), proposals, full)
 
 
 def sample_graph_reference(m: ModelConfig, seed: int | None = None) -> Graph:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import AssumptionError, RegimeError
+from .errors import AssumptionError, ParameterError, RegimeError
 from .model import WeightSpec
 
 
@@ -50,10 +50,10 @@ def supercritical_beta(lam: float) -> float:
 
 def critical_parameter(lam: float, w: WeightSpec) -> float:
     """Giant-component criterion lambda * E(W^2); threshold at 1."""
-    ew2 = w.second_moment
-    if not math.isfinite(ew2):
-        raise AssumptionError("E W^2 must be finite")
-    return lam * ew2
+    crit = lam * w.second_moment
+    if not (lam >= 0 and math.isfinite(crit)):
+        raise ParameterError(f"need lambda >= 0 and lambda * E W^2 finite, got {lam} * {w.second_moment:g}")
+    return crit
 
 
 def classify_regime(lam: float, w: WeightSpec) -> str:
@@ -173,8 +173,8 @@ def build_report(lam: float, w: WeightSpec) -> TheoryReport:
     crit = critical_parameter(lam, w)
     regime = classify_regime(lam, w)
     report = TheoryReport(lam=lam, crit=crit, regime=regime, residuals={})
-    if lam <= 0:
-        return report  # degenerate empty-graph model, no limit constants
+    if lam * w.mean <= 0:
+        return report  # degenerate empty-graph model (lambda = 0 or W == 0), no limit constants
 
     homogeneous = w.atoms.tolist() == [1.0]  # W == 1: one atom, at 1
     if regime == "supercritical":

@@ -16,9 +16,11 @@ from torusgraph.harness import (
     replicate_seed,
     run_experiment,
     verify_coupling,
-    verify_theory,
 )
-from torusgraph.model import WeightSpec, c_of_lambda, lambda_of_c
+from torusgraph.model import WeightSpec, c_of_lambda
+
+
+W12 = {"kind": "discrete", "values": [1.0, 2.0], "probs": [0.5, 0.5]}
 
 
 def small_plan(**over):
@@ -112,6 +114,14 @@ class TestPlanParsing:
         plan = ExperimentPlan.from_dict({"sweep": [{"N": 8, "lambda": 2.0}]})
         assert plan.sweep[0].c == pytest.approx(c_of_lambda(2.0))
         assert plan.sweep[0].lam == pytest.approx(2.0)
+
+    def test_whole_numbers_accepted(self):
+        # a JSON number with no fractional part is an integer; 20.7 is not truncated
+        plan = ExperimentPlan.from_dict({"N": 8.0, "c": 0.5, "replicates": 2.0, "seed": 3.0})
+        assert (plan.sweep[0].N, plan.replicates, plan.seed) == (8, 2, 3)
+        assert type(plan.sweep[0].N) is int and type(plan.replicates) is int
+        with pytest.raises(ParameterError, match="N must be an integer"):
+            ExperimentPlan.from_dict({"N": 8.5, "c": 0.5})
 
     def test_single_point_shorthand(self):
         plan = ExperimentPlan.from_dict({"N": 9, "c": 0.4, "replicates": 2})
@@ -220,34 +230,39 @@ class TestRunExperiment:
         assert payload["points"][0]["replicates"][0]["C"] >= 1
 
 
-class TestVerifyTheory:
-    def test_exclusive_args(self):
-        with pytest.raises(ValueError):
-            verify_theory()
-        with pytest.raises(ValueError):
-            verify_theory(lam=1.0, c=0.5)
+class TestTheoryCommand:
+    """`torusgraph theory`: one report per (lambda or c, W)."""
 
-    def test_supercritical(self):
-        r = verify_theory(lam=2.0)
-        assert r.beta == pytest.approx(0.79681213002002, abs=1e-10)
+    @staticmethod
+    def report(capsys, *argv):
+        assert cli_main(["theory", *argv]) == 0
+        return json.loads(capsys.readouterr().out)
 
-    def test_subcritical_constant_equals_tilted_limit(self):
-        r = verify_theory(lam=0.5)
-        assert r.sub_const == pytest.approx(5.177398899124181, abs=1e-8)
-        assert r.sub_const_weighted == pytest.approx(r.sub_const, abs=1e-8)
+    def test_exclusive_args(self, capsys):
+        for argv in ([], ["--lambda", "1", "--c", "0.5"]):
+            with pytest.raises(SystemExit) as exc:
+                cli_main(["theory", *argv])
+            assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
 
-    def test_critical_suppresses_constants(self):
-        r = verify_theory(lam=0.4, weights={"kind": "discrete", "values": [1.0, 2.0], "probs": [0.5, 0.5]})
-        assert r.regime == "critical"
-        assert r.beta_hat is None and r.sub_const_weighted is None
+    def test_supercritical(self, capsys):
+        assert self.report(capsys, "--lambda", "2.0")["beta"] == pytest.approx(0.79681213002002, abs=1e-10)
 
-    def test_c_argument(self):
-        r = verify_theory(c=c_of_lambda(2.0))
-        assert r.lam == pytest.approx(2.0)
+    def test_subcritical_constant_equals_tilted_limit(self, capsys):
+        r = self.report(capsys, "--lambda", "0.5")
+        assert r["sub_const"] == pytest.approx(5.177398899124181, abs=1e-8)
+        assert r["sub_const_weighted"] == pytest.approx(r["sub_const"], abs=1e-8)
 
-    def test_weight_spec_passthrough(self):
-        r = verify_theory(lam=1.0, weights=WeightSpec.discrete([1.0, 2.0], [0.5, 0.5]))
-        assert r.regime == "supercritical"
+    def test_critical_suppresses_constants(self, capsys):
+        r = self.report(capsys, "--lambda", "0.4", "--weights", json.dumps(W12))
+        assert r["regime"] == "critical"
+        assert r["beta_hat"] is None and r["sub_const_weighted"] is None
+
+    def test_c_argument(self, capsys):
+        assert self.report(capsys, "--c", repr(c_of_lambda(2.0)))["lam"] == pytest.approx(2.0)
+
+    def test_weights_argument(self, capsys):
+        assert self.report(capsys, "--lambda", "1.0", "--weights", json.dumps(W12))["regime"] == "supercritical"
 
 
 class TestVerifyCoupling:
@@ -392,6 +407,85 @@ class TestCLI:
             cli_main(["simulate", "--config", str(cfg)])
         assert exc.value.code == 2
         assert "'replicate'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, plan, message", [
+        pytest.param(["theory", "--lambda", "nan"], None, "lambda * E W^2 finite", id="theory-lambda-nan"),
+        pytest.param(["theory", "--lambda", "inf"], None, "lambda * E W^2 finite", id="theory-lambda-inf"),
+        pytest.param(["theory", "--lambda", "-1"], None, "lambda >= 0", id="theory-lambda-negative"),
+        pytest.param(["theory", "--c", "-1"], None, "c must be nonnegative", id="theory-c-negative"),
+        pytest.param(["theory", "--lambda", "1", "--weights", '{"kind": "constant", "value": NaN}'], None,
+                     "nonnegative and finite", id="constant-nan"),
+        pytest.param(["theory", "--lambda", "1", "--weights",
+                      '{"kind": "discrete", "values": [1, 2], "probs": [NaN, NaN]}'], None,
+                     "sum to 1", id="discrete-nan-probs"),
+        pytest.param(["theory", "--lambda", "1", "--weights",
+                      '{"kind": "discrete", "values": [1, Infinity], "probs": [0.5, 0.5]}'], None,
+                     "nonnegative and finite", id="discrete-inf-value"),
+        pytest.param(["theory", "--lambda", "1", "--weights",
+                      '{"kind": "discrete", "values": [0, 1e200], "probs": [0.5, 0.5]}'], None,
+                     "E W^2 must be finite", id="discrete-second-moment-overflows"),
+        pytest.param(["export-graph", "--N", "1", "--lambda", "2", "--out-prefix", "unused"], None,
+                     "side length", id="export-N-1"),
+        pytest.param(["export-graph", "--N", "8", "--c", "-1", "--out-prefix", "unused"], None,
+                     "c must be nonnegative", id="export-c-negative"),
+        pytest.param(["export-graph", "--N", "8", "--lambda", "NaN", "--out-prefix", "unused"], None,
+                     "lambda must be positive", id="export-lambda-nan"),
+        pytest.param(["simulate"], {"N": 10, "c": -1}, "c must be nonnegative", id="plan-c-negative"),
+        pytest.param(["simulate"], {"N": 10, "lambda": math.nan}, "lambda must be positive", id="plan-lambda-nan"),
+        pytest.param(["simulate"], {"sweep": [{"N": 10, "lambda": 2.0}, {"N": 1, "lambda": 2.0}]},
+                     "N must be an integer >= 2", id="plan-second-point-N-1"),
+        pytest.param(["simulate"], {"N": 20.7, "lambda": 2.0}, "N must be an integer", id="plan-N-fractional"),
+        pytest.param(["simulate"], {"N": 20, "lambda": 2.0, "replicates": 2.9},
+                     "replicates must be an integer", id="plan-replicates-fractional"),
+        pytest.param(["simulate"], {"N": 10, "lambda": 2.0, "seed": -1}, "seed must be an integer >= 0",
+                     id="plan-seed-negative"),
+        pytest.param(["export-graph", "--N", "8", "--lambda", "2", "--out-prefix", "unused", "--seed", "-1"],
+                     None, "seed must be >= 0", id="export-seed-negative"),
+        pytest.param(["branching", "--cap", "0"], None, "--cap, --samples and --kmax must be >= 1", id="branching-cap-0"),
+        pytest.param(["branching", "--check", "identity", "--samples", "0"], None, "--cap, --samples and --kmax must be >= 1",
+                     id="identity-samples-0"),
+        pytest.param(["branching", "--kmax", "0"], None, "--cap, --samples and --kmax must be >= 1",
+                     id="borel-kmax-0"),
+        pytest.param(["branching", "--check", "identity", "--weights", '{"kind": "constant", "value": 0}'],
+                     None, "E W > 0", id="identity-zero-weights"),
+        pytest.param(["theory", "--lambda", "1", "--seed", "3"], None, "unrecognized arguments",
+                     id="theory-seed"),
+        pytest.param(["branching", "--out", "x"], None, "unrecognized arguments", id="branching-out"),
+        pytest.param(["verify", "--seed", "1"], None, "unrecognized arguments", id="verify-seed"),
+        pytest.param(["verify", "--out", "x"], None, "unrecognized arguments", id="verify-out"),
+    ])
+    def test_bad_input_exits_2(self, argv, plan, message, tmp_path, capsys):
+        # a bad value or an option the command does not read is a usage
+        # error, reported before anything runs: no traceback, no output row
+        if plan is not None:
+            cfg = tmp_path / "plan.json"
+            cfg.write_text(json.dumps(plan))
+            argv = argv + ["--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert message in err and "Traceback" not in err
+        assert out == ""
+
+    def test_zero_weights_give_the_empty_model(self, tmp_path, capsys):
+        zero = {"kind": "constant", "value": 0.0}
+        assert cli_main(["theory", "--lambda", "1", "--weights", json.dumps(zero)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["crit"] == 0 and report["sub_const_weighted"] is None
+        cfg = tmp_path / "plan.json"
+        cfg.write_text(json.dumps({"N": 8, "lambda": 1.0, "weights": zero, "replicates": 2}))
+        assert cli_main(["simulate", "--config", str(cfg)]) == 0
+        rows = [r for r in capsys.readouterr().out.splitlines() if r.startswith("replicate")]
+        assert [r.split(",")[7:9] for r in rows] == [["1", "0"], ["1", "0"]]  # C, edges
+
+    def test_simulate_seed_override(self, tmp_path, capsys):
+        plan = {"N": 8, "c": 0.5, "replicates": 2, "seed": 3}
+        cfg = tmp_path / "plan.json"
+        cfg.write_text(json.dumps(plan))
+        assert cli_main(["simulate", "--config", str(cfg), "--seed", "9"]) == 0
+        expected = run_experiment(ExperimentPlan.from_dict(dict(plan, seed=9))).to_csv()
+        assert capsys.readouterr().out == expected
 
 
 def test_import_leaves_scipy_stats_unloaded():

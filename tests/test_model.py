@@ -11,8 +11,6 @@ from torusgraph.model import (
     Graph,
     ModelConfig,
     WeightSpec,
-    _slot_view,
-    _weight_layers,
     c_of_lambda,
     edge_probability,
     lambda_N,
@@ -205,13 +203,6 @@ def all_slots(N, full):
     return o, u, v, np.searchsorted(t.ring_start, o, side="right") - 1
 
 
-def picks_full_view(m, weights):
-    """Whether sample_graph proposes these weights' graph in the full view."""
-    slots = slot_table(m.torus.N)
-    _, sizes, top = _weight_layers(weights)
-    return _slot_view(slots, m.c / (m.torus.N * slots.ring[:, None]), sizes, top)[0]
-
-
 class TestCandidatePopulation:
     @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 8, 9])
     def test_each_pair_exactly_once(self, N):
@@ -357,7 +348,7 @@ class TestSampleGraph:
             g = sample_graph(m, seed=s)
             weights[s] = g.weights
             keys.append(g.edges[:, 0] * n + g.edges[:, 1])
-            full += picks_full_view(m, g.weights)
+            full += g.full
         assert full >= min_full * reps
         counts = np.bincount(np.concatenate(keys), minlength=n * n)[iu * n + ju]
         mean_p = sum(np.minimum(scale * wt[:, iu] * wt[:, ju], 1.0).sum(axis=0)
@@ -464,7 +455,7 @@ class TestSampleGraph:
         # graphs the half view proposes keep their exact edge streams
         m = ModelConfig.from_lambda(N, lam, w, seed=seed)
         g = sample_graph(m)
-        assert not picks_full_view(m, g.weights)
+        assert not g.full
         assert hashlib.sha256(g.edges.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("N", [30, 31])

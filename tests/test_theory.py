@@ -201,6 +201,8 @@ class TestReport:
     def test_trichotomy(self):
         for lam, expect in ((0.3, "subcritical"), (0.4, "critical"), (0.6, "supercritical")):
             assert build_report(lam, W12).regime == expect
+        critical = build_report(0.4, W12)  # no limit constants at the threshold
+        assert critical.beta_hat is None and critical.sub_const_weighted is None
         # a wide truncated exponential: at the far nodes the quadrature
         # mass underflows to 0 while y^k e^{sy} overflows, and those atoms
         # carry no mass, so the constants stay finite and converge in upper
