@@ -11,16 +11,16 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
 
 import numpy as np
 
-from .branching import EXCEEDED, borel_tail, progeny_batch, simulate_B1
 from .errors import ParameterError
 from .geometry import TorusConfig
-from .harness import ExperimentPlan, run_experiment, verify_coupling
+from .harness import ExperimentPlan, borel_check, identity_check, run_experiment, verify_coupling
 from .model import ModelConfig, WeightSpec, c_of_lambda, lambda_of_c, sample_graph
 from .theory import build_report
 
@@ -74,12 +74,16 @@ def main(argv=None) -> int:
     ex.add_argument("--seed", type=int, default=0)
 
     args = ap.parse_args(argv)
-    # the one input check: every object a command uses is built here, before any sampling
+    files = contextlib.ExitStack()
+    # the one input check: every object a command uses is built here, before any sampling,
+    # and last every file it writes is opened, so a bad value never creates or truncates one
     try:
         if args.command == "simulate":
             plan = ExperimentPlan.load(args.config)
             if args.seed is not None:
                 plan = dataclasses.replace(plan, seed=args.seed)
+            if args.threads < 1:
+                raise ParameterError(f"--threads must be >= 1, got {args.threads}")
         elif args.command != "verify":
             spec = WeightSpec.from_dict(_parse_weights(args.weights))
         if args.command == "theory":
@@ -98,72 +102,45 @@ def main(argv=None) -> int:
                 if not 0 <= mean_offspring < 1:  # otherwise a tree may never end
                     raise ParameterError(f"--lambda must give 0 <= lambda * E(W^2) < 1, got {args.lam} * "
                                          f"{spec.second_moment:g} = {mean_offspring:g}")
-                tilde = spec.size_biased  # B1's root law, which needs E W > 0
+                spec.size_biased  # B1's root law raises here unless E W > 0
             rng = np.random.Generator(np.random.Philox(args.seed))
-    except (OSError, ValueError) as exc:  # an unreadable input file, ParameterError, a law's range check
+        path = (args.out or plan.output) if args.command == "simulate" else vars(args).get("out")
+        out = files.enter_context(open(path, "w")) if path else sys.stdout
+        if args.command == "export-graph":
+            edges, weights = (files.enter_context(open(args.out_prefix + ext, "w"))
+                              for ext in (".edges", ".weights"))
+    except (OSError, ValueError) as exc:  # a file that cannot be read or written, ParameterError, a law's range check
+        files.close()
         ap.error(str(exc))
 
-    if args.command == "simulate":
-        result = run_experiment(plan, threads=args.threads)
-        out = args.out or plan.output
-        if out:
-            result.write(out, fmt=args.format)
-            print(f"wrote {out}")
-        else:
-            sys.stdout.write(result.to_csv())
-        return 0
-
-    if args.command == "theory":
-        text = report.to_json()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
-        return 0
-
-    if args.command == "branching":
-        if args.check == "borel":
-            sizes = progeny_batch(args.lambda_prime, WeightSpec.constant(), args.samples, args.cap, rng)
-            ok = True
-            for k in range(1, args.kmax + 1):
-                mc = float((sizes >= k).mean())
-                exact = borel_tail(args.lambda_prime, k)
-                sigma = max((exact * (1 - exact) / args.samples) ** 0.5, 1e-12)
-                passed = abs(mc - exact) <= 4 * sigma
-                ok &= passed
-                print(f"k={k:3d}  exact={exact:.6f}  mc={mc:.6f}  "
-                      f"|z|={abs(mc - exact) / sigma:5.2f}  {'ok' if passed else 'FAIL'}")
-            return 0 if ok else 1
-        s1 = []
-        for _ in range(args.samples):
-            x = float(tilde.sample(1, rng)[0])
-            t = simulate_B1(x, args.lam, spec, args.cap, rng)
-            s1.append(args.cap + 1 if t is EXCEEDED else t)
-        s2 = progeny_batch(args.lam, spec, args.samples, args.cap, rng)
-        s2[s2 < 0] = args.cap + 1
-        from scipy.stats import ks_2samp  # ~0.6 s and ~21 MB on first import
-        stat, pval = ks_2samp(s1, s2)
-        print(f"two-sample KS: D={stat:.5f}  p={pval:.4f}  "
-              f"{'ok' if pval > 0.01 else 'FAIL'} (1% level)")
-        return 0 if pval > 0.01 else 1
-
-    if args.command == "verify":
-        rows = verify_coupling()
+    with files:
         ok = True
-        for row in rows:
-            ok &= bool(row["passed"])
-            print(json.dumps(row))
-        print("PASS" if ok else "FAIL")
-        return 0 if ok else 1
-
-    # export-graph, the last command
-    g = sample_graph(m)
-    g.export_edges(args.out_prefix + ".edges")
-    g.export_weights(args.out_prefix + ".weights")
-    print(f"N={args.N} vertices={g.n_vertices} edges={g.edge_count} "
-          f"-> {args.out_prefix}.edges, {args.out_prefix}.weights")
-    return 0
+        if args.command == "simulate":
+            result = run_experiment(plan, threads=args.threads)
+            text = result.to_csv() if args.format == "csv" else result.to_json() + "\n"
+        elif args.command == "theory":
+            text = report.to_json() + "\n"
+        elif args.command == "branching" and args.check == "borel":
+            rows = borel_check(args.lambda_prime, args.samples, args.kmax, args.cap, rng)
+            ok = all(abs(z) <= 4 for *_, z in rows)
+            text = "".join(f"k={k:3d}  exact={exact:.6f}  mc={mc:.6f}  |z|={abs(z):5.2f}  "
+                           f"{'ok' if abs(z) <= 4 else 'FAIL'}\n" for k, exact, mc, z in rows)
+        elif args.command == "branching":
+            stat, pval = identity_check(args.lam, spec, args.samples, args.cap, rng)
+            ok = pval > 0.01
+            text = f"two-sample KS: D={stat:.5f}  p={pval:.4f}  {'ok' if ok else 'FAIL'} (1% level)\n"
+        elif args.command == "verify":
+            rows = verify_coupling()
+            ok = all(row["passed"] for row in rows)
+            text = "".join(json.dumps(row) + "\n" for row in rows) + ("PASS\n" if ok else "FAIL\n")
+        else:  # export-graph
+            g = sample_graph(m)
+            g.export_edges(edges)
+            g.export_weights(weights)
+            text = (f"N={args.N} vertices={g.n_vertices} edges={g.edge_count} "
+                    f"-> {args.out_prefix}.edges, {args.out_prefix}.weights\n")
+        out.write(text)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

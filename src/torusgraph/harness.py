@@ -14,18 +14,17 @@ import csv
 import io
 import json
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .components import largest_component
-from .errors import ParameterError, reject_unknown_keys
+from .errors import ParameterError, integer, number, reject_unknown_keys
 from .geometry import TorusConfig
 from .model import ModelConfig, WeightSpec, c_of_lambda, lambda_N, lambda_of_c, sample_graph
 from .theory import TheoryReport, build_report
-from .branching import binomial_poisson_tv
+from .branching import EXCEEDED, binomial_poisson_tv, borel_tail, progeny_batch, simulate_B1
 
 ESTIMATORS = ("C_over_N2", "C_over_logN2")
 
@@ -43,22 +42,16 @@ _POINT_KEYS = {"N", "c", "lambda", "weights"}
 _PLAN_KEYS = {"weights", "replicates", "estimator", "seed", "output"}
 
 
-def _integer(x, name: str, low: int) -> int:
-    """x as an int of at least `low`.  A fractional, infinite, non-numeric
-    or too small x raises ParameterError; a fraction is never truncated."""
-    if not (isinstance(x, numbers.Integral) or isinstance(x, float) and x.is_integer()) or x < low:
-        raise ParameterError(f"{name} must be an integer >= {low}, got {x!r}")
-    return int(x)
-
-
 @dataclass
 class SweepPoint:
     N: int
     c: float
-    weights: dict = field(default_factory=_DEFAULT_WEIGHTS.copy)
+    weights: dict | None = None  # None: constant weight 1
 
     def __post_init__(self):  # a bad point fails when its plan is built, before any point runs
-        self.N = _integer(self.N, "N", 2)  # N = 2 is the smallest torus
+        if self.weights is None:
+            self.weights = _DEFAULT_WEIGHTS.copy()
+        self.N = integer(self.N, "N", 2)  # N = 2 is the smallest torus
         lambda_of_c(self.c)
         self.weight_spec()
 
@@ -79,8 +72,8 @@ class ExperimentPlan:
     output: str | None = None
 
     def __post_init__(self):
-        self.replicates = _integer(self.replicates, "replicates", 1)
-        self.seed = _integer(self.seed, "seed", 0)
+        self.replicates = integer(self.replicates, "replicates", 1)
+        self.seed = integer(self.seed, "seed", 0)
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be one of {ESTIMATORS}")
 
@@ -88,14 +81,20 @@ class ExperimentPlan:
     def from_dict(cls, d: dict) -> "ExperimentPlan":
         """Plan from its JSON form: a `sweep` list of points, or one
         point's keys at top level.  An unknown key raises ParameterError."""
+        if not isinstance(d, dict):
+            raise ParameterError(f"a plan must be a JSON object, got {d!r}")
         reject_unknown_keys(d, _PLAN_KEYS | ({"sweep"} if "sweep" in d else _POINT_KEYS), "a plan")
         points = d["sweep"] if "sweep" in d else [{k: d[k] for k in ("N", "c", "lambda") if k in d}]
+        if not isinstance(points, list):
+            raise ParameterError(f"sweep must be a list, got {points!r}")
         for p in points:
+            if not isinstance(p, dict):
+                raise ParameterError(f"a sweep point must be a JSON object, got {p!r}")
             reject_unknown_keys(p, _POINT_KEYS, "a sweep point")
+        if d.get("output") is not None and not isinstance(d["output"], str):
+            raise ParameterError(f"output must be a string, got {d['output']!r}")
         weights = d.get("weights")
-        sweep = [SweepPoint(N=p.get("N"), c=_point_c(p),
-                            weights=p.get("weights", weights) or _DEFAULT_WEIGHTS.copy())
-                 for p in points]
+        sweep = [SweepPoint(N=p.get("N"), c=_point_c(p), weights=p.get("weights", weights)) for p in points]
         return cls(
             sweep=sweep,
             replicates=d.get("replicates", 1),
@@ -113,7 +112,7 @@ class ExperimentPlan:
 def _point_c(p: dict) -> float:
     if ("c" in p) == ("lambda" in p):
         raise ValueError("give exactly one of 'c' or 'lambda' per sweep point")
-    return float(p["c"]) if "c" in p else c_of_lambda(float(p["lambda"]))
+    return number(p["c"], "c") if "c" in p else c_of_lambda(number(p["lambda"], "lambda"))
 
 
 # ---------------------------------------------------------------------------
@@ -174,35 +173,27 @@ class ExperimentResult:
             )
         return buf.getvalue()
 
-    def write(self, path, fmt: str = "csv") -> None:
-        if fmt == "csv":
-            with open(path, "w") as fh:
-                fh.write(self.to_csv())
-        elif fmt == "json":
-            payload = {
-                "estimator": self.plan.estimator,
-                "seed": self.plan.seed,
-                "points": [
-                    {
-                        "N": pr.point.N,
-                        "c": pr.point.c,
-                        "lambda": pr.point.lam,
-                        "weights": pr.point.weights,
-                        "replicates": pr.replicate_rows,
-                        "mean": pr.mean,
-                        "std": pr.std,
-                        "stderr": pr.stderr,
-                        "target": pr.target,
-                        "z": pr.z,
-                        "warnings": pr.warnings,
-                    }
-                    for pr in self.points
-                ],
-            }
-            with open(path, "w") as fh:
-                json.dump(payload, fh, indent=2)
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
+    def to_json(self) -> str:
+        return json.dumps({
+            "estimator": self.plan.estimator,
+            "seed": self.plan.seed,
+            "points": [
+                {
+                    "N": pr.point.N,
+                    "c": pr.point.c,
+                    "lambda": pr.point.lam,
+                    "weights": pr.point.weights,
+                    "replicates": pr.replicate_rows,
+                    "mean": pr.mean,
+                    "std": pr.std,
+                    "stderr": pr.stderr,
+                    "target": pr.target,
+                    "z": pr.z,
+                    "warnings": pr.warnings,
+                }
+                for pr in self.points
+            ],
+        }, indent=2)
 
 
 def estimator_value(estimator: str, C: int, N: int) -> float:
@@ -299,3 +290,36 @@ def verify_coupling(tv_grid=DEFAULT_TV_GRID, lambda_n_sweep=DEFAULT_LAMBDA_N_SWE
              "passed": decreasing}
         )
     return rows
+
+
+def borel_check(lambda_prime: float, n: int, kmax: int, cap: int,
+                rng: np.random.Generator) -> list[tuple[int, float, float, float]]:
+    """(k, exact, mc, z) for k = 1..kmax: the Borel tail P{T >= k} of a
+    Po(lambda') tree, the fraction of n progeny_batch trees (capped at
+    `cap`) reaching k, and their z-score under the Binomial(n, exact)
+    sampling error."""
+    sizes = progeny_batch(lambda_prime, WeightSpec.constant(), n, cap, rng)
+    rows = []
+    for k in range(1, kmax + 1):
+        mc = float((sizes >= k).mean())
+        exact = borel_tail(lambda_prime, k)
+        sigma = max(math.sqrt(exact * (1 - exact) / n), 1e-12)
+        rows.append((k, exact, mc, (mc - exact) / sigma))
+    return rows
+
+
+def identity_check(lam: float, w: WeightSpec, n: int, cap: int,
+                   rng: np.random.Generator) -> tuple[float, float]:
+    """Two-sample KS (D, p) between the total progeny of n B1 trees, each
+    rooted at a size-biased type, and n B2 trees, whose laws are equal.
+    Draws every root in one batch, then B1 per root, then B2 in one
+    progeny_batch; a tree past `cap` counts as cap + 1 in both samples."""
+    from scipy.stats import ks_2samp  # ~0.6 s and ~21 MB on first import
+    roots = w.size_biased.sample(n, rng)
+    b1 = np.fromiter(
+        (cap + 1 if s is EXCEEDED else s for s in (simulate_B1(float(x), lam, w, cap, rng) for x in roots)),
+        dtype=np.int64, count=n)
+    b2 = progeny_batch(lam, w, n, cap, rng)
+    b2[b2 < 0] = cap + 1
+    res = ks_2samp(b1, b2)
+    return float(res.statistic), float(res.pvalue)

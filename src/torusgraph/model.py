@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, reject_unknown_keys
+from .errors import ParameterError, integer, number, reject_unknown_keys
 from .geometry import TorusConfig, Vertex, ring_sizes, torus_distance
 
 LOG2X4 = 4.0 * math.log(2.0)
@@ -174,22 +174,29 @@ class WeightSpec:
 
     @classmethod
     def from_dict(cls, d: dict | None) -> "WeightSpec":
-        """Spec from its JSON form; None means constant weight 1.  An
-        unknown kind, or a key outside the kind's keys, raises
-        ParameterError."""
+        """Spec from its JSON form; None means constant weight 1.  A form
+        that is not an object, an unknown kind, a key outside the kind's
+        keys, or a value of the wrong JSON type raises ParameterError."""
         if d is None:
             return cls.constant(1.0)
+        if not isinstance(d, dict):
+            raise ParameterError(f"a weight law must be a JSON object, got {d!r}")
         kind = d.get("kind", "constant")
-        if kind not in _WEIGHT_KEYS:
+        if not isinstance(kind, str) or kind not in _WEIGHT_KEYS:
             raise ParameterError(f"unknown weight kind in config: {kind!r}")
         reject_unknown_keys(d, _WEIGHT_KEYS[kind], f"a {kind} weight law")
         if kind == "constant":
-            return cls.constant(float(d.get("value", 1.0)))
-        if kind == "discrete":  # a missing list fails discrete's shape check
-            return cls.discrete(d.get("values"), d.get("probs"))
+            return cls.constant(number(d.get("value", 1.0), "value"))
+        if kind == "discrete":
+            lists = []
+            for key in ("values", "probs"):
+                if not isinstance(d.get(key), list):
+                    raise ParameterError(f"{key} must be a list of numbers, got {d.get(key)!r}")
+                lists.append([number(x, f"{key}[{i}]") for i, x in enumerate(d[key])])
+            return cls.discrete(*lists)
         return cls.truncated_exponential(
-            rate=float(d.get("rate", 1.0)), upper=float(d.get("upper", 8.0)),
-            n_nodes=int(d.get("n_nodes", 400)),
+            rate=number(d.get("rate", 1.0), "rate"), upper=number(d.get("upper", 8.0), "upper"),
+            n_nodes=integer(d.get("n_nodes", 400), "n_nodes", 1),
         )
 
     def to_dict(self) -> dict:
@@ -351,9 +358,6 @@ class Graph:
     def vertex_index(self, u: Vertex) -> int:
         return (u[0] - 1) * self.N + (u[1] - 1)
 
-    def index_vertex(self, i: int) -> Vertex:
-        return (i // self.N + 1, i % self.N + 1)
-
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.n_vertices, dtype=np.int64)
         if self.edge_count:
@@ -379,19 +383,16 @@ class Graph:
             self._build_adjacency()
         return self._indices[self._indptr[i]:self._indptr[i + 1]]
 
-    def export_edges(self, path) -> None:
-        """Edge list, one line per edge: 'u1 u2 v1 v2'."""
-        with open(path, "w") as fh:
-            for a, b in self.edges:
-                u, v = self.index_vertex(int(a)), self.index_vertex(int(b))
-                fh.write(f"{u[0]} {u[1]} {v[0]} {v[1]}\n")
+    def export_edges(self, file) -> None:
+        """Edge list to a path or an open file, one line per edge: 'u1 u2 v1 v2'."""
+        e = self.edges.astype(np.int64)
+        np.savetxt(file, np.stack([e // self.N, e % self.N], axis=2).reshape(-1, 4) + 1, fmt="%d")
 
-    def export_weights(self, path) -> None:
-        """Vertex weights, one line per vertex: 'u1 u2 w'."""
-        with open(path, "w") as fh:
-            for i, w in enumerate(self.weights):
-                u = self.index_vertex(i)
-                fh.write(f"{u[0]} {u[1]} {float(w)!r}\n")
+    def export_weights(self, file) -> None:
+        """Vertex weights to a path or an open file, one line per vertex:
+        'u1 u2 w', with w in the shortest form that reads back exactly."""
+        i = np.arange(self.n_vertices)
+        np.savetxt(file, np.column_stack([i // self.N + 1, i % self.N + 1, self.weights]), fmt=["%d", "%d", "%s"])
 
 
 # ---------------------------------------------------------------------------

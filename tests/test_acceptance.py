@@ -11,18 +11,13 @@ import math
 import time
 
 import numpy as np
-from scipy.stats import ks_2samp
 
-from torusgraph.branching import (
-    EXCEEDED,
-    borel_tail,
-    progeny_batch,
-    simulate_B1,
-)
 from torusgraph.components import component_decomposition, largest_component
 from torusgraph.geometry import TorusConfig, ring_sizes
 from torusgraph.harness import (
     ExperimentPlan,
+    borel_check,
+    identity_check,
     replicate_seed,
     run_experiment,
     verify_coupling,
@@ -173,16 +168,7 @@ def test_criterion_07_two_process_identity():
     cap = 100_000
     pvals = []
     for case, (lam, w) in enumerate(cases):
-        rng = rng_for(replicate_seed(707, case, 0))
-        tilde = w.size_biased
-        roots = tilde.sample(n, rng)
-        b1 = np.fromiter(
-            (cap + 1 if s is EXCEEDED else s
-             for s in (simulate_B1(float(x), lam, w, cap, rng) for x in roots)),
-            dtype=np.int64, count=n)
-        b2 = progeny_batch(lam, w, n, cap, rng)
-        b2[b2 < 0] = cap + 1
-        pvals.append(float(ks_2samp(b1, b2).pvalue))
+        pvals.append(identity_check(lam, w, n, cap, rng_for(replicate_seed(707, case, 0)))[1])
     dt = time.perf_counter() - t0
     ok = all(p > 0.01 for p in pvals) and dt < 120
     line = report(7, ok, f"KS p-values {[round(p, 3) for p in pvals]} all > 0.01, "
@@ -195,12 +181,8 @@ def test_criterion_08_borel_oracle():
     n = 1_000_000
     worst = 0.0
     for lp in (0.3, 0.5, 0.8):
-        sizes = progeny_batch(lp, WeightSpec.constant(), n, 10_000_000, rng_for(808))
-        for k in range(1, 21):
-            frac = float((sizes >= k).mean())
-            exact = borel_tail(lp, k)
-            sigma = max(math.sqrt(exact * (1 - exact) / n), 1e-12)
-            worst = max(worst, abs(frac - exact) / sigma)
+        rows = borel_check(lp, n, 20, 10_000_000, rng_for(808))
+        worst = max(worst, *(abs(z) for *_, z in rows))
     dt = time.perf_counter() - t0
     ok = worst < 3.0 and dt < 120
     line = report(8, ok, f"max |z| = {worst:.2f} < 3 over lp in {{0.3,0.5,0.8}}, k <= 20, "

@@ -3,7 +3,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
 
 from torusgraph.branching import (
     binomial_poisson_tv,
@@ -13,6 +12,7 @@ from torusgraph.branching import (
     size_biased,
 )
 from torusgraph.errors import RegimeError
+from torusgraph.harness import identity_check
 from torusgraph.model import WeightSpec
 from torusgraph.theory import supercritical_beta
 
@@ -191,14 +191,7 @@ class TestTwoProcessIdentity:
     def test_progeny_laws_agree(self, lam, w):
         # B1 rooted at a size-biased type and B2 have the same total
         # progeny law; compare the two samples with a KS test
-        rng = rng_for(21)
-        tilde = w.size_biased
-        n = 15_000
-        roots = tilde.sample(n, rng)
-        b1 = np.array([simulate_B1(float(x), lam, w, 50_000, rng) for x in roots],
-                      dtype=np.int64)
-        b2 = progeny_batch(lam, w, n, 50_000, rng)
-        assert ks_2samp(b1, b2).pvalue > 1e-4
+        assert identity_check(lam, w, 15_000, 50_000, rng_for(21))[1] > 1e-4
 
     def test_cap_exceeded(self):
         out = progeny_batch(3.0, W12, 1, 50, rng_for(1))[0]

@@ -222,10 +222,8 @@ class TestRunExperiment:
         res = run_experiment(plan)
         assert res.points[0].warnings
 
-    def test_write_json(self, tmp_path):
-        path = tmp_path / "out.json"
-        run_experiment(small_plan(replicates=1)).write(path, fmt="json")
-        payload = json.loads(path.read_text())
+    def test_write_json(self):
+        payload = json.loads(run_experiment(small_plan(replicates=1)).to_json())
         assert len(payload["points"]) == 2
         assert payload["points"][0]["replicates"][0]["C"] >= 1
 
@@ -448,6 +446,29 @@ class TestCLI:
                      id="borel-kmax-0"),
         pytest.param(["branching", "--check", "identity", "--weights", '{"kind": "constant", "value": 0}'],
                      None, "E W > 0", id="identity-zero-weights"),
+        pytest.param(["simulate"], {"N": 10, "c": None}, "c must be a number", id="plan-c-null"),
+        pytest.param(["simulate"], {"N": 10, "c": 0.5, "weights": {"kind": "constant", "value": None}},
+                     "value must be a number", id="plan-value-null"),
+        pytest.param(["simulate"], {"sweep": 5}, "sweep must be a list", id="plan-sweep-5"),
+        pytest.param(["simulate"], {"N": 10, "c": 0.5, "weights": "heavy"}, "weight law must be a JSON object",
+                     id="plan-weights-string"),
+        pytest.param(["simulate"], {"N": 10, "c": 0.5, "output": 5}, "output must be a string", id="plan-output-5"),
+        pytest.param(["simulate"], {"N": 10, "c": 0.5, "replicates": True}, "replicates must be an integer",
+                     id="plan-replicates-true"),
+        pytest.param(["simulate"], {"N": 10, "c": 0.5, "weights": {"kind": "constant", "value": True}},
+                     "value must be a number", id="plan-value-true"),
+        pytest.param(["simulate"], {"N": 10, "lambda": "2"}, "lambda must be a number", id="plan-lambda-string"),
+        pytest.param(["simulate"], {"N": 10, "c": 10**400}, "c is too large for a float", id="plan-c-huge-integer"),
+        pytest.param(["simulate"], {"N": 10, "c": 0.5, "weights": {"kind": "discrete", "values": ["1", "2"],
+                                                                    "probs": [0.5, 0.5]}},
+                     "values[0] must be a number", id="plan-values-strings"),
+        pytest.param(["simulate"], {"N": 10, "c": 0.5, "weights": {"kind": "truncated_exponential", "n_nodes": 400.7}},
+                     "n_nodes must be an integer", id="plan-n_nodes-fractional"),
+        pytest.param(["simulate"], [1, 2], "a plan must be a JSON object", id="plan-list"),
+        pytest.param(["simulate"], {"sweep": [[6, 2]]}, "a sweep point must be a JSON object", id="plan-point-list"),
+        pytest.param(["simulate", "--threads", "0"], {"N": 10, "c": 0.5}, "--threads must be >= 1", id="threads-0"),
+        pytest.param(["simulate", "--threads", "-3"], {"N": 10, "c": 0.5}, "--threads must be >= 1",
+                     id="threads-negative"),
         pytest.param(["theory", "--lambda", "1", "--seed", "3"], None, "unrecognized arguments",
                      id="theory-seed"),
         pytest.param(["branching", "--out", "x"], None, "unrecognized arguments", id="branching-out"),
@@ -467,6 +488,51 @@ class TestCLI:
         assert exc.value.code == 2
         assert message in err and "Traceback" not in err
         assert out == ""
+
+    @pytest.mark.parametrize("argv, plan", [
+        pytest.param(["simulate", "--out", "{missing}/r.csv"], {"N": 8, "c": 0.5}, id="simulate-out"),
+        pytest.param(["simulate"], {"N": 8, "c": 0.5, "output": "{missing}/r.csv"}, id="plan-output"),
+        pytest.param(["theory", "--lambda", "1", "--out", "{missing}/r.json"], None, id="theory-out"),
+        pytest.param(["export-graph", "--N", "8", "--lambda", "2", "--out-prefix", "{missing}/g"], None,
+                     id="export-out-prefix"),
+    ])
+    def test_unwritable_output_exits_2(self, argv, plan, tmp_path, capsys):
+        # every output is opened before any sampling: a path in a missing
+        # directory is a usage error, not a traceback after the work
+        missing = str(tmp_path / "missing")
+        argv = [a.format(missing=missing) for a in argv]
+        if plan is not None:
+            cfg = tmp_path / "plan.json"
+            cfg.write_text(json.dumps({k: v.format(missing=missing) if isinstance(v, str) else v
+                                       for k, v in plan.items()}))
+            argv += ["--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert "No such file or directory" in err and "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv, plan", [
+        (["simulate"], {"N": 10, "c": -1}),
+        (["theory", "--lambda", "nan"], None),
+    ])
+    def test_bad_value_creates_no_output(self, argv, plan, tmp_path):
+        out = tmp_path / "r.out"
+        if plan is not None:
+            cfg = tmp_path / "plan.json"
+            cfg.write_text(json.dumps(plan))
+            argv = argv + ["--config", str(cfg)]
+        with pytest.raises(SystemExit):
+            cli_main(argv + ["--out", str(out)])
+        assert not out.exists()
+
+    def test_simulate_json_to_stdout(self, tmp_path, capsys):
+        cfg = tmp_path / "plan.json"
+        cfg.write_text(json.dumps({"N": 8, "c": 0.5, "replicates": 2, "seed": 3}))
+        assert cli_main(["simulate", "--config", str(cfg), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["points"][0]["replicates"]) == 2
 
     def test_zero_weights_give_the_empty_model(self, tmp_path, capsys):
         zero = {"kind": "constant", "value": 0.0}
