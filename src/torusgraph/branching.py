@@ -78,9 +78,14 @@ def progeny_batch(lam: float, w: WeightSpec, n: int, cap: int,
     times of cumsum(X - 1) through -1, -2, ...  A tree is abandoned at
     its (cap+1)-th draw and the next tree starts at the following draw;
     that draw is a stopping time, so the remaining stream stays fresh.
-    Each refill draws about 1.3 times the expected draws of the trees
-    still to come, but at most min(8192, 16 * (cap + 1)), and the walk
-    scans all of them.
+    Between refills only the open tree is kept, as two integers: its
+    draws so far (at most cap) and its walk's value after them, which
+    is <= 0 since the walk has not yet reached 1.  Each refill draws
+    about 1.3 times the expected draws of the trees still to come, but
+    at most min(8192, 16 * (cap + 1)), and the walk continues from that
+    value over the new draws alone.  A draw is scanned once, and once
+    more for each tree abandoned before it in its refill, so the cost
+    stays linear in the draws however many refills a tree outlasts.
     Returns an int64 array with -1 marking abandoned (EXCEEDED) trees.
     """
     if cap < 1:
@@ -88,44 +93,30 @@ def progeny_batch(lam: float, w: WeightSpec, n: int, cap: int,
     tilde = w.size_biased
     out = np.empty(n, dtype=np.int64)
     filled = 0
-    x = np.empty(0, dtype=np.int64)
-    pos = 0    # first unscanned draw of x
-    g = 0      # walk value before draw pos
-    level = 0  # the current tree ends when the walk first drops below this
-    used = 0   # draws of the current (open) tree before the scanned window
+    used = h = 0  # the open tree's draws before x, and its walk's value after them
     mean_size = 1.0 / max(1.0 - lam * w.second_moment, 1e-3)
     while filled < n:
-        if pos == x.size:
-            chunk = int(min((n - filled) * mean_size * 1.3 + 16, 8192, 16 * (cap + 1)))
-            x = rng.poisson(lam * w.mean * tilde.sample(chunk, rng))
-            pos = 0
-        c = g + np.cumsum(x[pos:] - 1, dtype=np.int64)
-        mins = np.minimum.accumulate(np.minimum(c, level))
-        prev = np.concatenate(([level], mins[:-1]))
-        prev_b = -1  # window-local index of the previous boundary
-        # c.size stands for the window end, which the open tree reaches
-        for b in [*np.flatnonzero(mins < prev).tolist(), c.size]:
-            p = prev_b + cap + 1 - used  # window-local index of the tree's (cap+1)-th draw
-            if p < b:
-                out[filled] = -1
-                filled += 1
-                pos += p + 1
-                g = level = int(c[p])
-                used = 0
+        chunk = int(min((n - filled) * mean_size * 1.3 + 16, 8192, 16 * (cap + 1)))
+        x = rng.poisson(lam * w.mean * tilde.sample(chunk, rng))
+        while True:
+            # walk: the open tree's walk h, h + cumsum(1 - x); tree j ends at the draw where it
+            # first reaches j, so cuts is each tree's first draw (the open tree's at -used), x.size
+            walk = (1 - np.concatenate(([1 - h], x))).cumsum()
+            depth = np.maximum.accumulate(walk)
+            cuts = np.concatenate(([-used], depth.searchsorted(np.arange(1, depth[-1] + 1)),
+                                   [x.size]))
+            sizes = cuts[1:] - cuts[:-1]  # each complete tree's draws, then the open tree's
+            over = (sizes > cap).nonzero()[0]
+            k = min(over[0] if over.size else sizes.size - 1, n - filled)  # trees taken whole
+            out[filled:filled + k] = sizes[:k]
+            filled += k
+            if filled == n or not over.size:
+                used, h = sizes[k], walk[-1] - k
                 break
-            if b == c.size:
-                used += b - 1 - prev_b
-                pos += b
-                g = int(c[-1])
-                level = int(mins[-1])
-                break
-            size = used + b - prev_b
-            out[filled] = size if size <= cap else -1
+            out[filled] = -1  # the next tree reached its (cap+1)-th draw
             filled += 1
-            used = 0
-            prev_b = b
-            if filled == n:
-                return out
+            x = x[cuts[k] + cap + 1:]
+            used = h = 0
     return out
 
 

@@ -34,6 +34,11 @@ def _parse_weights(arg: str | None) -> dict | None:
         return json.load(fh)
 
 
+# the options that one `branching --check` reads and the other refuses, with their defaults
+_CHECK_OPTIONS = {"borel": (("--lambda-prime", "lambda_prime", 0.5), ("--kmax", "kmax", 20)),
+                  "identity": (("--lambda", "lam", 0.3), ("--weights", "weights", None))}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="torusgraph")
     sp = ap.add_subparsers(dest="command", required=True)
@@ -54,11 +59,11 @@ def main(argv=None) -> int:
 
     br = sp.add_parser("branching", help="oracle/simulator cross-checks")
     br.add_argument("--check", choices=("borel", "identity"), default="borel")
-    br.add_argument("--lambda-prime", type=float, default=0.5)
-    br.add_argument("--lambda", dest="lam", type=float, default=0.3)
-    br.add_argument("--weights", default=None)
+    br.add_argument("--lambda-prime", type=float, help="borel only")
+    br.add_argument("--lambda", dest="lam", type=float, help="identity only")
+    br.add_argument("--weights", help="identity only: JSON literal or file")
     br.add_argument("--samples", type=int, default=100_000)
-    br.add_argument("--kmax", type=int, default=20)
+    br.add_argument("--kmax", type=int, help="borel only")
     br.add_argument("--cap", type=int, default=1_000_000)
     br.add_argument("--seed", type=int, default=0)
 
@@ -78,6 +83,13 @@ def main(argv=None) -> int:
     # the one input check: every object a command uses is built here, before any sampling,
     # and last every file it writes is opened, so a bad value never creates or truncates one
     try:
+        if args.command == "branching":
+            for check, options in _CHECK_OPTIONS.items():
+                for flag, dest, default in options:
+                    if getattr(args, dest) is None:
+                        setattr(args, dest, default)
+                    elif check != args.check:
+                        raise ParameterError(f"{flag} is not read by --check {args.check}")
         if args.command == "simulate":
             plan = ExperimentPlan.load(args.config)
             if args.seed is not None:

@@ -75,10 +75,8 @@ def explore_component(g: Graph, v: int, rng: np.random.Generator) -> Exploration
     neutral neighbors become active.  The stopping time (number of
     steps) is the component size, whatever the tie-breaking.
 
-    `v` may be an index or an (u1, u2) coordinate pair.
+    `v` is a vertex index, 0 <= v < g.n_vertices.
     """
-    if not isinstance(v, (int, np.integer)):
-        v = g.vertex_index(v)
     status = np.zeros(g.n_vertices, dtype=np.int8)  # 0 neutral, 1 active, 2 saturated
     status[v] = 1
     active = [int(v)]

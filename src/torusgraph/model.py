@@ -355,9 +355,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def vertex_index(self, u: Vertex) -> int:
-        return (u[0] - 1) * self.N + (u[1] - 1)
-
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.n_vertices, dtype=np.int64)
         if self.edge_count:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import time
 
@@ -129,6 +131,60 @@ class TestProgenyBatch:
             (sizes.mean(), 1 / (1 - m), math.sqrt(sigma2 / (1 - m) ** 3 / n)),
         ):
             assert abs(est - target) < 4.5 * se, (est, target, (est - target) / se)
+
+
+# the four W~ samplers the walk reads: W == 1, two atoms, and the two
+# truncated-exponential proposals (Gamma for upper 6, pair sum for 1.5)
+PIN_LAWS = {"constant": W1, "discrete12": W12, "trunc_exp6": WeightSpec.truncated_exponential(1.0, 6.0),
+            "trunc_exp1.5": WeightSpec.truncated_exponential(1.0, 1.5)}
+
+
+def _state(rng) -> bytes:
+    return json.dumps(rng.bit_generator.state, sort_keys=True, default=lambda a: a.tolist()).encode()
+
+
+def _pin_digest(w, calls, rng):
+    """sha256 over each call's output and the generator state after it."""
+    h = hashlib.sha256()
+    for m, n, cap in calls:
+        out = progeny_batch(m / w.second_moment, w, n, cap, rng)
+        assert out.dtype == np.int64 and out.shape == (n,)
+        h.update(out.tobytes())
+        h.update(_state(rng))
+    return h.hexdigest()
+
+
+class TestProgenyPinned:
+    # every output of the walk and the generator state after each call,
+    # so a rewrite of the walk must keep each stream bit-identical;
+    # m = lambda E W^2, supercritical only where the cap bounds the work
+    GRID = [(m, n, cap) for m in (0.0, 0.5, 0.95, 1.5) for n in (0, 1, 7, 3000)
+            for cap in (1, 2, 50, 10**6) if m < 1 or cap <= 50]
+
+    @pytest.mark.parametrize("law, digest", [
+        ("constant", "d556866df9beb4f66aedf120593769b13f66095408492a9eedbde51429d4f6fe"),
+        ("discrete12", "c2994ea6109a6bcab0bf4df09d22c1ac9657cf1780ef81936a7e27b08fbd2f44"),
+        ("trunc_exp6", "a584493edbeba5e516b9a88ecba3495b212c44dd13ceb09ea7d7ccd1af943948"),
+        ("trunc_exp1.5", "16a615052f7f0aed65ebcfd9ae6dbc497e3a1f5bac2847e22cd7e49b3715e202"),
+    ])
+    def test_grid(self, law, digest):
+        assert _pin_digest(PIN_LAWS[law], self.GRID, rng_for(41)) == digest
+
+    @pytest.mark.parametrize("law, digest", [
+        ("constant", "6bee08aae16460ab72b9011974e6a6a82a7ba027f8e3b201e708c118be247c22"),
+        ("discrete12", "47a9fea8e77d101c4d2b3e761bce1647009c949af3f0975d9c007f2680ce17a4"),
+        ("trunc_exp6", "ca35669680a662cf4b09c12dc358538b82000fb9d05af6635c38c23e0e2754b7"),
+        ("trunc_exp1.5", "b47c340bc80581296802d3358ec8692088b2c6ce43bbde779505ec58a07723e4"),
+    ])
+    def test_successive_single_trees(self, law, digest):
+        # one tree per call on one generator, as simulate_B2 draws them
+        assert _pin_digest(PIN_LAWS[law], [(0.5, 1, 10**6)] * 2000, rng_for(43)) == digest
+
+    def test_empty_draws_nothing(self):
+        rng = rng_for(5)
+        before = _state(rng)
+        assert progeny_batch(0.5, W12, 0, 10, rng).shape == (0,)
+        assert _state(rng) == before
 
 
 class TestSizeBiased:

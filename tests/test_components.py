@@ -114,11 +114,6 @@ class TestExploration:
             # group by component via repeated exploration from each vertex
             assert max(sizes.values()) == cs.largest
 
-    def test_accepts_coordinates(self):
-        g = make_graph(2, [(0, 1)])
-        tr = explore_component(g, (1, 1), rng_for(0))
-        assert tr.start == 0 and tr.T == 2
-
     def test_jsonl_dump(self):
         g = make_graph(2, [(0, 1), (1, 2)])
         tr = explore_component(g, 0, rng_for(1))

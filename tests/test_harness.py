@@ -446,6 +446,13 @@ class TestCLI:
                      id="borel-kmax-0"),
         pytest.param(["branching", "--check", "identity", "--weights", '{"kind": "constant", "value": 0}'],
                      None, "E W > 0", id="identity-zero-weights"),
+        pytest.param(["branching", "--check", "borel", "--weights", '{"kind": "constant", "value": 5}'], None,
+                     "--weights is not read by --check borel", id="borel-weights"),
+        pytest.param(["branching", "--lambda", "7"], None, "--lambda is not read by --check borel", id="borel-lambda"),
+        pytest.param(["branching", "--check", "identity", "--lambda-prime", "7"], None,
+                     "--lambda-prime is not read by --check identity", id="identity-lambda-prime"),
+        pytest.param(["branching", "--check", "identity", "--kmax", "0"], None,
+                     "--kmax is not read by --check identity", id="identity-kmax-0"),
         pytest.param(["simulate"], {"N": 10, "c": None}, "c must be a number", id="plan-c-null"),
         pytest.param(["simulate"], {"N": 10, "c": 0.5, "weights": {"kind": "constant", "value": None}},
                      "value must be a number", id="plan-value-null"),
