@@ -41,9 +41,11 @@ EXCEEDED = _Exceeded()
 def borel_tail(lambda_prime: float, k: int) -> float:
     """P{total progeny >= k} for offspring law Po(lambda'), lambda' < 1.
 
-    Sums e^{-lambda' j} (lambda' j)^{j-1} / j! from j = k; terms decay
-    like e^{-alpha j} with alpha = lambda' - 1 - log lambda', so the
-    truncation error is below 1e-12 at the stopping rule used here.
+    Sums e^{-lambda' j} (lambda' j)^{j-1} / j! from j = k in numpy
+    chunks; terms decay like e^{-alpha j} with alpha = lambda' - 1 -
+    log lambda', so the truncation error is below 1e-12 at the stopping
+    rule used here: the first term past j = k + 50 / alpha below 1e-16
+    of the sum so far.
     """
     if not 0 < lambda_prime < 1:
         raise RegimeError(f"Borel tail needs lambda' in (0,1), got {lambda_prime}")
@@ -53,17 +55,17 @@ def borel_tail(lambda_prime: float, k: int) -> float:
         return 1.0
     alpha = lambda_prime - 1.0 - math.log(lambda_prime)
     log_lp = math.log(lambda_prime)
-    total = 0.0
-    j = k
     j_min_extra = k + int(50.0 / alpha) + 1
+    total, j0 = 0.0, k
     while True:
-        log_term = -lambda_prime * j + (j - 1) * (log_lp + math.log(j)) - gammaln(j + 1)
-        term = math.exp(log_term)
-        total += term
-        j += 1
-        if term < 1e-16 * total and j > j_min_extra:
-            break
-    return min(total, 1.0)
+        # the terms the stopping rule needs at least, plus 64, and at most 2^16 at a time
+        j = np.arange(j0, j0 + min(max(j_min_extra - j0, 0) + 64, 1 << 16), dtype=float)
+        term = np.exp(-lambda_prime * j + (j - 1) * (log_lp + np.log(j)) - gammaln(j + 1))
+        run = total + np.cumsum(term)
+        stop = np.flatnonzero((term < 1e-16 * run) & (j >= j_min_extra))
+        if stop.size:
+            return min(float(run[stop[0]]), 1.0)
+        total, j0 = float(run[-1]), j0 + j.size
 
 
 def progeny_batch(lam: float, w: WeightSpec, n: int, cap: int,

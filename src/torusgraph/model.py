@@ -12,10 +12,10 @@ unordered pair is exactly one real slot; a self-inverse offset
 (o == -o, even N only) also yields a mirrored phantom slot per pair,
 which is proposed like any other and then dropped.  In the full view
 every pair is two slots, one from each end, and only the one from its
-owner, the heavier endpoint, is kept.  Vertices are grouped into dyadic
-weight layers of the largest sampled weight B, and the slots of each
-(ring, layer) group are proposed at the group's cap: the largest weight
-M_a of the layer times B in the half view, M_a^2 in the full view.
+owner, the heavier endpoint, is kept.  Vertices fall into weight
+layers, four per octave below the largest sampled weight B, and the
+slots of each (ring, layer) group are proposed at the group's cap: M_a B
+in the half view, M_a^2 in the full view, M_a the layer's top weight.
 Each graph takes the view with the smaller expected proposal count,
 decided from its weights alone.  One random stream per graph draws the
 weights, a Poisson proposal count per group, uniform slots per chunk of
@@ -472,21 +472,24 @@ def slot_table(N: int) -> SlotTable:
 # ---------------------------------------------------------------------------
 
 MAX_LAYER = 12  # weights at most B / 2^12 share the lowest layer, zero included
+LAYERS_PER_OCTAVE = 4  # a layer top rounds a weight up by less than 2^(1/4)
 CHUNK = 1 << 14  # proposals per batch of consecutive (ring, layer) groups
 EVERY_SLOT = 1 - math.exp(-1)  # caps above it propose each slot once: there -P log(1 - q) > P
 
 
 def _weight_layers(weights: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """(order, sizes, top) of the dyadic weight layers: vertex u sits in
-    layer floor(log2(B / W_u)), capped at MAX_LAYER, with B the largest
-    weight; `order` lists the vertices layer by layer (None when there is
-    one layer), `sizes` and `top` hold each nonempty layer's vertex count
-    and largest weight M_a."""
+    """(order, sizes, top) of the weight layers, LAYERS_PER_OCTAVE = K per
+    octave: vertex u sits in layer floor(K log2(B / W_u)), capped at
+    K MAX_LAYER, with B the largest weight; `order` lists the vertices
+    layer by layer (None when there is one layer), `sizes` and `top` hold
+    each nonempty layer's vertex count and largest weight M_a."""
     B, low = float(weights.max()), float(weights.min())
-    if low == B or 2 * low > B:  # one layer: equal weights (zero included) or all above B/2
+    # one layer: equal weights (zero included) or all above B 2^(-1/K)
+    if low == B or low > B * 2 ** (-1 / LAYERS_PER_OCTAVE):
         return None, np.array([weights.size]), np.array([B])
     # B > 0; weights at most B / 2^MAX_LAYER, zero included, get ratio 2^MAX_LAYER
-    layer = np.floor(np.log2(B / np.maximum(weights, B / 2**MAX_LAYER))).astype(np.int8)
+    ratio = np.log2(B / np.maximum(weights, B / 2**MAX_LAYER))
+    layer = np.floor(LAYERS_PER_OCTAVE * ratio).astype(np.int8)  # at most K MAX_LAYER = 48
     order = layer.argsort(kind="stable")
     sizes = np.bincount(layer)
     sizes = sizes[sizes > 0]
@@ -500,8 +503,10 @@ def _slot_view(slots: SlotTable, ring_scale: np.ndarray, sizes: np.ndarray,
     (ring, layer) groups.  A half-view slot (o, u) with u in layer a caps
     W_u W_v by M_a B, a full-view one, kept only from the owner, by M_a^2.
     With one layer the caps agree and |F_r| >= |H_r|, so the half view
-    stays."""
+    stays without a comparison."""
     half = np.minimum(ring_scale * (top * top[0]), 1.0)
+    if top.size == 1:
+        return False, half
     full = np.minimum(ring_scale * (top * top), 1.0)
     cheaper = (slots.ring_full @ full @ sizes) < (slots.ring_len @ half @ sizes)
     return bool(cheaper), full if cheaper else half
@@ -513,18 +518,20 @@ def sample_graph(m: ModelConfig, seed: int | None = None) -> Graph:
     One Philox stream per graph: the vertex weights first, then the
     proposal counts of all (ring, weight layer) groups in one Poisson
     call, then per chunk of groups the slots and their thinning uniforms.
-    With B the largest sampled weight, vertex u sits in the dyadic layer
-    a = floor(log2(B / W_u)), capped at MAX_LAYER, and M_a is the largest
-    weight in layer a.  Every slot (o, u) of ring r with u in layer a is
-    proposed independently with probability q among the group's
-    P = |V_r| n_a slots, where V_r is the ring's offsets in the chosen
-    view of `SlotTable`.  The group draws a Poisson(-P log(1 - q)) count
-    of slots uniformly with replacement and proposes each slot hit once:
-    the per-slot hit counts are then i.i.d. Poisson(-log(1 - q)), so a
-    slot is hit with probability exactly q.  A group with q above
-    EVERY_SLOT = 1 - 1/e, where that count's mean would exceed P,
-    proposes each of its slots once instead and thins with q = 1, so no
-    group draws more than about twice its expected proposals.
+    With B the largest sampled weight, vertex u sits in the layer
+    a = floor(K log2(B / W_u)), K = LAYERS_PER_OCTAVE, capped at
+    K MAX_LAYER, and M_a, the largest weight in layer a, rounds W_u up by
+    less than 2^(1/K) above B / 2^MAX_LAYER.  Every slot (o, u) of ring r
+    with u in layer a is proposed independently with probability q among
+    the group's P = |V_r| n_a slots, where V_r is the ring's offsets in
+    the chosen view of `SlotTable`.  The group draws a
+    Poisson(-P log(1 - q)) count of slots uniformly with replacement and
+    proposes each slot hit once: the per-slot hit counts are then i.i.d.
+    Poisson(-log(1 - q)), so a slot is hit with probability exactly q.
+    A group with q above EVERY_SLOT = 1 - 1/e, where that count's mean
+    would exceed P, proposes each of its slots once instead and thins
+    with q = 1, so no group draws more than about twice its expected
+    proposals.
 
     - Half view, V_r = H_r, q = min{c M_a B / (N r), 1}: phantom slots
       are dropped.
@@ -537,19 +544,20 @@ def sample_graph(m: ModelConfig, seed: int | None = None) -> Graph:
     smaller expected proposal count sum_r |V_r| sum_a n_a q, the half
     view on a tie (always with one layer).  It depends on the weights
     alone, which are drawn first, so the law given the weights is exact
-    either way.  When every weight exceeds B/2 there is one layer, whose
-    keys are the slot keys themselves; when every weight equals B,
-    p(u,v) = q and no thinning draw is made unless some group proposes
-    every slot.
+    either way.  When every weight exceeds B 2^(-1/K) there is one
+    layer, whose keys are the slot keys themselves; when every weight
+    equals B, p(u,v) = q and no thinning draw is made unless some group
+    proposes every slot.
 
     Groups are handled in chunks of consecutive groups of about CHUNK
     proposals each, which bounds memory.  Measured with numpy 2.4 on a
     2-core Xeon at N=400, lambda=0.3 with truncated_exponential(1, 8)
-    weights (seeds 0-15): 8.5 proposals per edge where the half view
-    alone takes 11.5 and one cap c B^2 / (N r) for every slot 61; with
-    discrete([1, 8, 64], [.9, .09, .01]) at lambda E(W^2) = 0.3, 18.6
-    instead of 28.4.  At N=800, lambda=2 with constant weights (half
-    view) a graph takes about 0.08 s with a 36 MB allocation peak.
+    weights (seeds 0-15): 4.7 proposals per edge (8.5 with one layer per
+    octave) where the half view alone takes 8.7 and one cap c B^2 / (N r)
+    for every slot 61; with discrete([1, 8, 64], [.9, .09, .01]) at
+    lambda E(W^2) = 0.3, whose layers are whole octaves apart for every
+    K, 18.5 instead of 28.2.  At N=800, lambda=2 with constant weights
+    (half view) a graph takes about 0.08 s with a 36 MB allocation peak.
     `Graph.proposals` records the number of distinct slots proposed and
     `Graph.full` the view.
     """

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from torusgraph.branching import (
     binomial_poisson_tv,
@@ -48,6 +49,28 @@ class TestBorelTail:
                for j in range(1, 60)]
         for k in (30, 45, 60):
             assert borel_tail(lp, k) == pytest.approx(1 - math.fsum(pmf[:k - 1]), rel=1e-10)
+
+    @pytest.mark.parametrize("lp", [0.1, 0.5, 0.9, 0.99])
+    def test_matches_term_by_term_sum(self, lp):
+        # the same terms and stopping rule, one Python term at a time
+        def loop(k):
+            alpha = lp - 1.0 - math.log(lp)
+            total, j = 0.0, k
+            while True:
+                term = math.exp(-lp * j + (j - 1) * (math.log(lp) + math.log(j)) - gammaln(j + 1))
+                total += term
+                j += 1
+                if term < 1e-16 * total and j > k + int(50.0 / alpha) + 1:
+                    return min(total, 1.0)
+
+        for k in ((2, 5, 20) if lp < 0.99 else (5,)):
+            assert borel_tail(lp, k) == pytest.approx(loop(k), rel=1e-10)
+
+    def test_near_critical_is_fast(self):
+        # about 10^6 terms at lambda' = 0.99, summed in numpy chunks
+        t0 = time.perf_counter()
+        borel_tail(0.99, 5)
+        assert time.perf_counter() - t0 < 0.5
 
     def test_monotone_in_k(self):
         vals = [borel_tail(0.7, k) for k in range(1, 40)]

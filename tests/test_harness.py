@@ -179,9 +179,9 @@ class TestRunExperiment:
         # in the full view (owner slots) for these weights
         ({"N": 31, "lambda": 0.6, "replicates": 3, "seed": 2024,
           "weights": {"kind": "truncated_exponential", "rate": 1.0, "upper": 8.0}}, [
-            (5514401882974304769, 57, 273),
-            (5969099755387220158, 98, 298),
-            (1150912202361056230, 156, 296),
+            (5514401882974304769, 60, 264),
+            (5969099755387220158, 81, 283),
+            (1150912202361056230, 23, 254),
         ]),
     ], ids=["N30-constant", "N31-truncexp"])
     def test_pinned_rows(self, plan, expected):

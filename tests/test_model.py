@@ -8,6 +8,7 @@ import pytest
 from torusgraph.errors import ParameterError
 from torusgraph.geometry import TorusConfig, kernel, ring_sizes, torus_distance
 from torusgraph.model import (
+    MAX_LAYER,
     Graph,
     ModelConfig,
     WeightSpec,
@@ -19,6 +20,7 @@ from torusgraph.model import (
     sample_graph,
     sample_graph_reference,
     slot_table,
+    _weight_layers,
 )
 
 
@@ -424,21 +426,38 @@ class TestSampleGraph:
         counts = np.array([sample_graph(m, seed=s).edge_count for s in range(reps)])
         assert abs(counts.mean() - mean) < 5 * math.sqrt(var / reps)
 
+    @pytest.mark.parametrize("w", [
+        WeightSpec.truncated_exponential(1.0, 8.0),
+        WeightSpec.discrete([1.0, 1.5, 3.0, 5.0], [0.4, 0.3, 0.2, 0.1]),
+    ], ids=["trunc_exp8", "discrete1_1.5_3_5"])
+    def test_weight_layers_are_quarter_octaves(self, w):
+        # each vertex's layer top M_a is its own weight rounded up by less
+        # than 2^(1/4), above the floor B / 2^MAX_LAYER, and never below it
+        weights = w.sample(4000, rng_for(0))
+        order, sizes, top = _weight_layers(weights)
+        cap = np.empty_like(weights)
+        cap[order] = np.repeat(top, sizes)
+        live = weights > weights.max() / 2**MAX_LAYER
+        assert np.all(cap >= weights)
+        assert np.all(cap[live] < weights[live] * 2**0.25)
+
     def test_layered_proposals_per_edge(self):
-        # weight layers propose at about 11 slots per edge, where one cap
-        # at B^2 for every slot needed about 62
+        # quarter-octave weight layers propose about 4.6 slots per edge,
+        # where whole octaves took 8.3 and one cap at B^2 for every slot
+        # about 62
         m = ModelConfig.from_lambda(100, 0.3, WeightSpec.truncated_exponential(1.0, 8.0))
         graphs = [sample_graph(m, seed=s) for s in range(5)]
         edges = sum(g.edge_count for g in graphs)
-        assert sum(g.proposals for g in graphs) < 20 * edges
+        assert sum(g.proposals for g in graphs) < 6 * edges
 
     @pytest.mark.parametrize("w, bound", [
-        (WeightSpec.truncated_exponential(1.0, 8.0), 10.0),
+        (WeightSpec.truncated_exponential(1.0, 8.0), 6.0),
         (WeightSpec.discrete([1.0, 8.0, 64.0], [0.9, 0.09, 0.01]), 24.0),
     ], ids=["trunc_exp8", "discrete1_8_64"])
     def test_heavier_endpoint_proposals_per_edge(self, w, bound):
-        # at lambda E(W^2) = 0.3 the half view alone drew 11.1 and 28.3
-        # slots per edge here; the full view, where cheaper, 8.5 and 19.6
+        # at lambda E(W^2) = 0.3 the full view drew 4.7 and 19.9 slots per
+        # edge here, 8.7 and 19.9 with whole-octave layers, and the half
+        # view alone with those 11.1 and 28.3
         m = ModelConfig.from_lambda(100, 0.3 / w.second_moment, w)
         graphs = [sample_graph(m, seed=s) for s in range(5)]
         assert sum(g.proposals for g in graphs) < bound * sum(g.edge_count for g in graphs)
