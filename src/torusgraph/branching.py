@@ -38,34 +38,44 @@ class _Exceeded:
 EXCEEDED = _Exceeded()
 
 
-def borel_tail(lambda_prime: float, k: int) -> float:
-    """P{total progeny >= k} for offspring law Po(lambda'), lambda' < 1.
+def borel_tail(lambda_prime: float, k: int | np.ndarray) -> float | np.ndarray:
+    """P{total progeny >= k} for offspring law Po(lambda'), lambda' < 1,
+    as a float for an int k and as a float array for an int array k.
 
-    Sums e^{-lambda' j} (lambda' j)^{j-1} / j! from j = k in numpy
-    chunks; terms decay like e^{-alpha j} with alpha = lambda' - 1 -
-    log lambda', so the truncation error is below 1e-12 at the stopping
-    rule used here: the first term past j = k + 50 / alpha below 1e-16
-    of the sum so far.
+    Sums e^{-lambda' j} (lambda' j)^{j-1} / j! once, from j = K = max(k),
+    in numpy chunks; terms decay like e^{-alpha j} with alpha = lambda' -
+    1 - log lambda', so the truncation error is below 1e-12 at the
+    stopping rule used here: the first term past j = K + 50 / alpha
+    below 1e-16 of the sum so far.  Each smaller k adds its terms j = k
+    .. K - 1 from one reverse cumsum, and P{T >= 1} is exactly 1.
     """
     if not 0 < lambda_prime < 1:
         raise RegimeError(f"Borel tail needs lambda' in (0,1), got {lambda_prime}")
-    if k < 1:
+    k = np.asarray(k)
+    if k.min() < 1:
         raise ValueError("k must be >= 1")
-    if k == 1:
-        return 1.0
     alpha = lambda_prime - 1.0 - math.log(lambda_prime)
     log_lp = math.log(lambda_prime)
-    j_min_extra = k + int(50.0 / alpha) + 1
-    total, j0 = 0.0, k
+
+    def terms(j):
+        return np.exp(-lambda_prime * j + (j - 1) * (log_lp + np.log(j)) - gammaln(j + 1))
+
+    k_max = int(k.max())
+    j_min_extra = k_max + int(50.0 / alpha) + 1
+    total, j0 = 0.0, k_max
     while True:
         # the terms the stopping rule needs at least, plus 64, and at most 2^16 at a time
         j = np.arange(j0, j0 + min(max(j_min_extra - j0, 0) + 64, 1 << 16), dtype=float)
-        term = np.exp(-lambda_prime * j + (j - 1) * (log_lp + np.log(j)) - gammaln(j + 1))
+        term = terms(j)
         run = total + np.cumsum(term)
         stop = np.flatnonzero((term < 1e-16 * run) & (j >= j_min_extra))
         if stop.size:
-            return min(float(run[stop[0]]), 1.0)
+            break
         total, j0 = float(run[-1]), j0 + j.size
+    # head[i]: the sum of the terms j = i + 1 .. k_max - 1, so head[k_max - 1] = 0
+    head = np.append(np.cumsum(terms(np.arange(k_max - 1, 0, -1, dtype=float)))[::-1], 0.0)
+    tail = np.where(k == 1, 1.0, np.minimum(run[stop[0]] + head[k - 1], 1.0))
+    return tail if tail.ndim else float(tail)
 
 
 def progeny_batch(lam: float, w: WeightSpec, n: int, cap: int,

@@ -109,6 +109,8 @@ def main(argv=None) -> int:
                                      f"{args.samples} and {args.kmax}")
             if args.check == "borel" and not 0 < args.lambda_prime < 1:  # the Borel law needs a subcritical tree
                 raise ParameterError(f"--lambda-prime must lie in (0, 1), got {args.lambda_prime}")
+            if args.check == "borel" and args.kmax > args.cap + 1:  # past cap + 1 a tree's size is unknown
+                raise ParameterError(f"--kmax must be <= --cap + 1, got {args.kmax} and {args.cap}")
             if args.check == "identity":
                 mean_offspring = args.lam * spec.second_moment  # B2's offspring mean
                 if not 0 <= mean_offspring < 1:  # otherwise a tree may never end

@@ -295,17 +295,19 @@ def verify_coupling(tv_grid=DEFAULT_TV_GRID, lambda_n_sweep=DEFAULT_LAMBDA_N_SWE
 def borel_check(lambda_prime: float, n: int, kmax: int, cap: int,
                 rng: np.random.Generator) -> list[tuple[int, float, float, float]]:
     """(k, exact, mc, z) for k = 1..kmax: the Borel tail P{T >= k} of a
-    Po(lambda') tree, the fraction of n progeny_batch trees (capped at
-    `cap`) reaching k, and their z-score under the Binomial(n, exact)
-    sampling error."""
+    Po(lambda') tree, the fraction of n progeny_batch trees reaching k,
+    and their z-score under the Binomial(n, exact) sampling error.  A
+    tree past `cap` counts as cap + 1, as in identity_check, so kmax
+    must be at most cap + 1: past it a tree's size is unknown."""
+    if kmax > cap + 1:
+        raise ParameterError(f"kmax must be <= cap + 1, got kmax={kmax} and cap={cap}")
     sizes = progeny_batch(lambda_prime, WeightSpec.constant(), n, cap, rng)
-    rows = []
-    for k in range(1, kmax + 1):
-        mc = float((sizes >= k).mean())
-        exact = borel_tail(lambda_prime, k)
-        sigma = max(math.sqrt(exact * (1 - exact) / n), 1e-12)
-        rows.append((k, exact, mc, (mc - exact) / sigma))
-    return rows
+    sizes[sizes < 0] = cap + 1
+    exact = borel_tail(lambda_prime, np.arange(1, kmax + 1))
+    # the trees reaching k, n minus those of size < k, over n: (sizes >= k).mean() exactly
+    mc = (n - np.cumsum(np.bincount(np.minimum(sizes, kmax + 1), minlength=kmax + 2))[:kmax]) / n
+    z = (mc - exact) / np.maximum(np.sqrt(exact * (1 - exact) / n), 1e-12)
+    return list(zip(range(1, kmax + 1), exact.tolist(), mc.tolist(), z.tolist()))
 
 
 def identity_check(lam: float, w: WeightSpec, n: int, cap: int,

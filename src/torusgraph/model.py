@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix, csr_matrix
 
 from .errors import ParameterError, integer, number, reject_unknown_keys
 from .geometry import TorusConfig, Vertex, ring_sizes, torus_distance
@@ -334,7 +335,7 @@ class Graph:
 
     Vertices are indexed 0..N^2-1 row-major over coordinates; `edges`
     holds each undirected edge once as (min, max), lexicographically
-    sorted.  Adjacency (CSR) is built lazily.
+    sorted.  The CSR adjacency is built lazily, once.
     """
 
     N: int
@@ -342,10 +343,6 @@ class Graph:
     edges: np.ndarray
     proposals: int = 0  # distinct slots sample_graph proposed (phantom, non-owner too); pairs the reference tried
     full: bool = False  # whether sample_graph proposed it in the full view of SlotTable
-
-    def __post_init__(self):
-        self._indptr: np.ndarray | None = None
-        self._indices: np.ndarray | None = None
 
     @property
     def n_vertices(self) -> int:
@@ -356,29 +353,18 @@ class Graph:
         return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_vertices, dtype=np.int64)
-        if self.edge_count:
-            deg += np.bincount(self.edges[:, 0], minlength=self.n_vertices)
-            deg += np.bincount(self.edges[:, 1], minlength=self.n_vertices)
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.n_vertices)
 
-    def _build_adjacency(self) -> None:
-        n = self.n_vertices
-        if self.edge_count == 0:
-            self._indptr = np.zeros(n + 1, dtype=np.int64)
-            self._indices = np.empty(0, dtype=np.int64)
-            return
-        lo, hi = self.edges.astype(np.int64, copy=False).T
-        key = np.sort(np.concatenate([lo * n + hi, hi * n + lo]))  # by (src, dst)
-        counts = np.bincount(key // n, minlength=n)
-        self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        self._indices = key % n
+    @functools.cached_property
+    def adjacency(self) -> csr_matrix:
+        """Symmetric CSR adjacency matrix; each row's indices come out sorted."""
+        i, j = np.concatenate([self.edges, self.edges[:, ::-1]]).T
+        return coo_matrix((np.ones(i.size, dtype=np.int8), (i, j)), shape=(self.n_vertices,) * 2).tocsr()
 
     def neighbors(self, i: int) -> np.ndarray:
         """Sorted neighbor indices of vertex i."""
-        if self._indptr is None:
-            self._build_adjacency()
-        return self._indices[self._indptr[i]:self._indptr[i + 1]]
+        a = self.adjacency
+        return a.indices[a.indptr[i]:a.indptr[i + 1]]
 
     def export_edges(self, file) -> None:
         """Edge list to a path or an open file, one line per edge: 'u1 u2 v1 v2'."""

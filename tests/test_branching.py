@@ -14,8 +14,8 @@ from torusgraph.branching import (
     simulate_B1,
     size_biased,
 )
-from torusgraph.errors import RegimeError
-from torusgraph.harness import identity_check
+from torusgraph.errors import ParameterError, RegimeError
+from torusgraph.harness import borel_check, identity_check
 from torusgraph.model import WeightSpec
 from torusgraph.theory import supercritical_beta
 
@@ -63,13 +63,20 @@ class TestBorelTail:
                 if term < 1e-16 * total and j > k + int(50.0 / alpha) + 1:
                     return min(total, 1.0)
 
-        for k in ((2, 5, 20) if lp < 0.99 else (5,)):
+        ks = (2, 5, 20) if lp < 0.99 else (5,)
+        for k in ks:
             assert borel_tail(lp, k) == pytest.approx(loop(k), rel=1e-10)
+        # the array form: one sum from max(k), and each smaller k's head terms added
+        assert borel_tail(lp, np.array(ks)) == pytest.approx([loop(k) for k in ks], rel=1e-10)
 
     def test_near_critical_is_fast(self):
         # about 10^6 terms at lambda' = 0.99, summed in numpy chunks
         t0 = time.perf_counter()
         borel_tail(0.99, 5)
+        assert time.perf_counter() - t0 < 0.5
+        # every k <= 20 from one sum, not 20 overlapping ones
+        t0 = time.perf_counter()
+        borel_tail(0.99, np.arange(1, 21))
         assert time.perf_counter() - t0 < 0.5
 
     def test_monotone_in_k(self):
@@ -275,6 +282,16 @@ class TestTwoProcessIdentity:
     def test_cap_exceeded(self):
         out = progeny_batch(3.0, W12, 1, 50, rng_for(1))[0]
         assert out == -1 or 1 <= out <= 50
+
+    def test_borel_check_counts_abandoned_trees(self):
+        # about 5% of the trees pass cap = 5; each counts as 6, so it reaches every k <= 6
+        rows = borel_check(0.5, 20_000, 6, 5, rng_for(5))
+        assert [k for k, *_ in rows] == list(range(1, 7))
+        assert all(abs(z) < 4 for *_, z in rows)
+
+    def test_borel_check_refuses_kmax_above_cap_plus_one(self):
+        with pytest.raises(ParameterError, match="kmax must be <= cap \\+ 1"):
+            borel_check(0.5, 100, 7, 5, rng_for(5))
 
 
 class TestBinomialPoissonTV:

@@ -444,6 +444,8 @@ class TestCLI:
                      id="identity-samples-0"),
         pytest.param(["branching", "--kmax", "0"], None, "--cap, --samples and --kmax must be >= 1",
                      id="borel-kmax-0"),
+        pytest.param(["branching", "--check", "borel", "--cap", "5", "--kmax", "8"], None,
+                     "--kmax must be <= --cap + 1", id="borel-kmax-above-cap"),
         pytest.param(["branching", "--check", "identity", "--weights", '{"kind": "constant", "value": 0}'],
                      None, "E W > 0", id="identity-zero-weights"),
         pytest.param(["branching", "--check", "borel", "--weights", '{"kind": "constant", "value": 5}'], None,
