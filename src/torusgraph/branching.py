@@ -28,14 +28,7 @@ from .errors import RegimeError
 from .model import WeightSpec
 
 
-class _Exceeded:
-    """Sentinel: the simulated tree outgrew the abandonment cap."""
-
-    def __repr__(self) -> str:
-        return "EXCEEDED"
-
-
-EXCEEDED = _Exceeded()
+EXCEEDED = -1  # the size reported for a tree abandoned at its cap
 
 
 def borel_tail(lambda_prime: float, k: int | np.ndarray) -> float | np.ndarray:
@@ -98,7 +91,7 @@ def progeny_batch(lam: float, w: WeightSpec, n: int, cap: int,
     value over the new draws alone.  A draw is scanned once, and once
     more for each tree abandoned before it in its refill, so the cost
     stays linear in the draws however many refills a tree outlasts.
-    Returns an int64 array with -1 marking abandoned (EXCEEDED) trees.
+    Returns an int64 array with EXCEEDED marking abandoned trees.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -125,7 +118,7 @@ def progeny_batch(lam: float, w: WeightSpec, n: int, cap: int,
             if filled == n or not over.size:
                 used, h = sizes[k], walk[-1] - k
                 break
-            out[filled] = -1  # the next tree reached its (cap+1)-th draw
+            out[filled] = EXCEEDED  # the next tree reached its (cap+1)-th draw
             filled += 1
             x = x[cuts[k] + cap + 1:]
             used = h = 0
@@ -148,8 +141,8 @@ def size_biased(w: WeightSpec) -> SizeBiasedSpec:
 
 
 def simulate_B1(x: float, lam: float, w: WeightSpec, cap: int,
-                rng: np.random.Generator):
-    """Total progeny of the multi-type process started from type x.
+                rng: np.random.Generator) -> int:
+    """Total progeny of the multi-type process from type x, or EXCEEDED past cap.
 
     A type-t individual begets Po(lam * t * EW) children whose types
     are i.i.d. size-biased W; that two-step draw realizes the intensity
@@ -173,12 +166,10 @@ def simulate_B1(x: float, lam: float, w: WeightSpec, cap: int,
     return total
 
 
-def simulate_B2(lam: float, w: WeightSpec, cap: int, rng: np.random.Generator):
-    """Total progeny of one B2 tree, or EXCEEDED: `progeny_batch` with
-    n = 1.  Kept per tree because bench/workloads.py, its only caller,
-    times it per tree."""
-    size = int(progeny_batch(lam, w, 1, cap, rng)[0])
-    return EXCEEDED if size < 0 else size
+def simulate_B2(lam: float, w: WeightSpec, cap: int, rng: np.random.Generator) -> int:
+    """Total progeny of one B2 tree, or EXCEEDED: `progeny_batch` with n = 1,
+    kept for bench/workloads.py, its only caller, which times it per tree."""
+    return int(progeny_batch(lam, w, 1, cap, rng)[0])
 
 
 def binomial_poisson_tv(n: int, lam: float) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 from .components import largest_component
 from .errors import ParameterError, integer, number, reject_unknown_keys
 from .geometry import TorusConfig
-from .model import ModelConfig, WeightSpec, c_of_lambda, lambda_N, lambda_of_c, sample_graph
+from .model import ModelConfig, WeightSpec, c_of_lambda, lambda_N, lambda_of_c, ring_scale, sample_graph
 from .theory import TheoryReport, build_report
 from .branching import EXCEEDED, binomial_poisson_tv, borel_tail, progeny_batch, simulate_B1
 
@@ -198,7 +198,7 @@ class ExperimentResult:
 
 def estimator_value(estimator: str, C: int, N: int) -> float:
     if estimator == "C_over_N2":
-        return C / (N * N)
+        return C / N**2
     return C / math.log(N * N)
 
 
@@ -213,12 +213,13 @@ def theory_target(estimator: str, report: TheoryReport) -> float | None:
 def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
     """Run every sweep point; deterministic given the plan and root seed.
 
-    Replicates fan out over `threads` worker processes, one pool for the
-    whole run, so each worker builds its slot tables once per N; rows are
-    reduced in replicate order regardless of completion order
-    (executor.map preserves input order).
+    Replicates fan out over min(threads, replicates) worker processes, as
+    no more run at once, one pool for the whole run, so each worker builds
+    its slot tables once per N; rows are reduced in replicate order
+    regardless of completion order (executor.map preserves input order).
     """
-    pool = ProcessPoolExecutor(max_workers=threads) if threads > 1 else None
+    workers = min(threads, plan.replicates)  # a fork-started pool forks them all at its first map
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     run = pool.map if pool else map
     with pool or contextlib.nullcontext():
         points = [_run_point(plan, pi, p, run) for pi, p in enumerate(plan.sweep)]
@@ -230,8 +231,7 @@ def _run_point(plan: ExperimentPlan, pi: int, p: SweepPoint, run) -> PointResult
     spec = p.weight_spec()
     report = build_report(p.lam, spec)
     warnings: list[str] = []
-    bound = spec.support_bound
-    if p.c * bound * bound / p.N >= 1.0:
+    if ring_scale(p.c, p.N)[0] * spec.support_bound**2 >= 1:
         warnings.append("edge probability capped at distance 1; theory assumes p_r < 1")
     tasks = [
         (p.N, p.c, p.weights, replicate_seed(plan.seed, pi, rep))
@@ -302,7 +302,7 @@ def borel_check(lambda_prime: float, n: int, kmax: int, cap: int,
     if kmax > cap + 1:
         raise ParameterError(f"kmax must be <= cap + 1, got kmax={kmax} and cap={cap}")
     sizes = progeny_batch(lambda_prime, WeightSpec.constant(), n, cap, rng)
-    sizes[sizes < 0] = cap + 1
+    sizes[sizes == EXCEEDED] = cap + 1
     exact = borel_tail(lambda_prime, np.arange(1, kmax + 1))
     # the trees reaching k, n minus those of size < k, over n: (sizes >= k).mean() exactly
     mc = (n - np.cumsum(np.bincount(np.minimum(sizes, kmax + 1), minlength=kmax + 2))[:kmax]) / n
@@ -318,10 +318,8 @@ def identity_check(lam: float, w: WeightSpec, n: int, cap: int,
     progeny_batch; a tree past `cap` counts as cap + 1 in both samples."""
     from scipy.stats import ks_2samp  # ~0.6 s and ~21 MB on first import
     roots = w.size_biased.sample(n, rng)
-    b1 = np.fromiter(
-        (cap + 1 if s is EXCEEDED else s for s in (simulate_B1(float(x), lam, w, cap, rng) for x in roots)),
-        dtype=np.int64, count=n)
-    b2 = progeny_batch(lam, w, n, cap, rng)
-    b2[b2 < 0] = cap + 1
-    res = ks_2samp(b1, b2)
+    b = np.stack([np.fromiter((simulate_B1(float(x), lam, w, cap, rng) for x in roots), np.int64, n),
+                  progeny_batch(lam, w, n, cap, rng)])
+    b[b == EXCEEDED] = cap + 1
+    res = ks_2samp(*b)
     return float(res.statistic), float(res.pvalue)

@@ -36,6 +36,7 @@ from .errors import ParameterError, integer, number, reject_unknown_keys
 from .geometry import TorusConfig, Vertex, ring_sizes, torus_distance
 
 LOG2X4 = 4.0 * math.log(2.0)
+MAX_NODES = 4096  # leggauss(n) eigen-solves a dense n x n matrix, about 5 s and 275 MB at 4000
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +137,8 @@ class WeightSpec:
         rate, upper = float(rate), float(upper)
         if not (rate > 0 and 0 < upper < math.inf):
             raise ValueError("rate must be positive, upper positive and finite")
+        if n_nodes > MAX_NODES:
+            raise ValueError(f"n_nodes must be <= {MAX_NODES}, got {n_nodes}")
         Z = 1.0 - math.exp(-rate * upper)
         x, wq = _gauss_legendre(int(n_nodes))
         nodes = 0.5 * upper * x + 0.5 * upper
@@ -290,12 +293,18 @@ class ModelConfig:
         return cls(TorusConfig(N), c_of_lambda(lam), weights or WeightSpec.constant(), seed)
 
 
+def ring_scale(c: float, N: int) -> np.ndarray:
+    """The distance profile a_r = c / (N r) of the rings r = 1..N, at index
+    r - 1: the only place the distance enters p(u,v) = min{a_d(u,v) W_u W_v, 1}."""
+    return c / (N * np.arange(1, N + 1))
+
+
 def edge_probability(u: Vertex, v: Vertex, wu: float, wv: float, m: ModelConfig) -> float:
-    """min{c * wu * wv / (N d(u,v)), 1}; undefined on the diagonal."""
+    """min{a_d wu wv, 1}, a_d = ring_scale(c, N)[d(u,v) - 1]; undefined on the diagonal."""
     d = torus_distance(u, v, m.torus)
     if d == 0:
         raise ValueError("no self-loops: u == v")
-    return min(m.c * wu * wv / (m.torus.N * d), 1.0)
+    return min(float(ring_scale(m.c, m.torus.N)[d - 1]) * wu * wv, 1.0)
 
 
 def lambda_N(c: float, cfg: TorusConfig) -> float:
@@ -308,8 +317,7 @@ def lambda_N(c: float, cfg: TorusConfig) -> float:
         raise ValueError("c must be positive")
     N = cfg.N
     sizes = ring_sizes(cfg)
-    r = np.arange(1, N + 1, dtype=float)
-    p = c / (N * r)
+    p = ring_scale(c, N)
     if np.any((sizes > 0) & (p >= 1.0)):
         raise ParameterError(f"p_r >= 1 on a nonempty ring: N={N} too small for c={c}")
     mask = sizes > 0
@@ -318,11 +326,8 @@ def lambda_N(c: float, cfg: TorusConfig) -> float:
 
 def mean_degree(c: float, cfg: TorusConfig) -> float:
     """Exact expected degree sum(N_r p_r) when no probability is capped."""
-    N = cfg.N
-    sizes = ring_sizes(cfg)
-    r = np.arange(1, N + 1, dtype=float)
-    p = np.minimum(c / (N * r), 1.0)
-    return float((sizes * p).sum())
+    p = np.minimum(ring_scale(c, cfg.N), 1.0)
+    return float((ring_sizes(cfg) * p).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +419,7 @@ class SlotTable:
         self.di, self.dj = di[order].astype(np.int32), dj[order].astype(np.int32)
         self.self_inverse = (2 * self.di % N == 0) & (2 * self.dj % N == 0)
         self.ring_start = np.searchsorted(dist[order], np.arange(cfg.max_dist + 2))
-        self.ring = np.arange(1, cfg.max_dist + 1)  # the nonempty rings r
-        self.ring_full = np.diff(self.ring_start[1:])  # |F_r|, their offset counts
+        self.ring_full = np.diff(self.ring_start[1:])  # |F_r| of the nonempty rings r
         self.ring_len = np.bincount(dist[half], minlength=cfg.max_dist + 1)[1:]  # |H_r|
 
     def decode(self, key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -482,7 +486,7 @@ def _weight_layers(weights: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, 
     return order, sizes, np.maximum.reduceat(weights[order], np.cumsum(sizes) - sizes)
 
 
-def _slot_view(slots: SlotTable, ring_scale: np.ndarray, sizes: np.ndarray,
+def _slot_view(slots: SlotTable, a_r: np.ndarray, sizes: np.ndarray,
                top: np.ndarray) -> tuple[bool, np.ndarray]:
     """(full, q): whether the full view is expected to propose strictly
     fewer slots than the half view, and the chosen view's caps q of the
@@ -490,10 +494,10 @@ def _slot_view(slots: SlotTable, ring_scale: np.ndarray, sizes: np.ndarray,
     W_u W_v by M_a B, a full-view one, kept only from the owner, by M_a^2.
     With one layer the caps agree and |F_r| >= |H_r|, so the half view
     stays without a comparison."""
-    half = np.minimum(ring_scale * (top * top[0]), 1.0)
+    half = np.minimum(a_r * (top * top[0]), 1.0)
     if top.size == 1:
         return False, half
-    full = np.minimum(ring_scale * (top * top), 1.0)
+    full = np.minimum(a_r * (top * top), 1.0)
     cheaper = (slots.ring_full @ full @ sizes) < (slots.ring_len @ half @ sizes)
     return bool(cheaper), full if cheaper else half
 
@@ -556,13 +560,13 @@ def sample_graph(m: ModelConfig, seed: int | None = None) -> Graph:
 
     # groups (ring, layer), ring-major; group g owns the keys [start[g], start[g] + size[g])
     slots = slot_table(N)
-    ring_scale = m.c / (N * slots.ring[:, None])  # p(u,v) = min{ring_scale W_u W_v, 1}
-    full, q = _slot_view(slots, ring_scale, sizes, top)
+    a_r = ring_scale(m.c, N)[:cfg.max_dist, None]  # p(u,v) = min{a_r W_u W_v, 1} on the nonempty rings
+    full, q = _slot_view(slots, a_r, sizes, top)
     V = (slots.ring_full if full else slots.ring_len)[:, None]
     size = (V * sizes).ravel()
     start = (n * slots.ring_start[1:-1, None] + V * base).ravel()
     q = q.ravel()
-    scale = ring_scale.repeat(L)
+    scale = a_r.repeat(L)
     every = q > EVERY_SLOT
     # a full group's Poisson draw is unused; clipping its q keeps the log finite
     counts = np.where(every, size, rng.poisson(-size * np.log1p(-np.minimum(q, EVERY_SLOT))))
@@ -628,6 +632,6 @@ def sample_graph_reference(m: ModelConfig, seed: int | None = None) -> Graph:
     d = cfg.offset_dist
     a, b = np.triu_indices(n, 1)
     dist = d[np.abs(a // N - b // N)] + d[np.abs(a % N - b % N)]
-    p = np.minimum(m.c * weights[a] * weights[b] / (N * dist), 1.0)
+    p = np.minimum(ring_scale(m.c, N)[dist - 1] * weights[a] * weights[b], 1.0)
     edge = rng.random(a.size) < p
     return Graph(N, weights, np.stack([a[edge], b[edge]], axis=1), n * (n - 1) // 2)

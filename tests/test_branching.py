@@ -8,6 +8,7 @@ import pytest
 from scipy.special import gammaln
 
 from torusgraph.branching import (
+    EXCEEDED,
     binomial_poisson_tv,
     borel_tail,
     progeny_batch,
@@ -282,6 +283,15 @@ class TestTwoProcessIdentity:
     def test_cap_exceeded(self):
         out = progeny_batch(3.0, W12, 1, 50, rng_for(1))[0]
         assert out == -1 or 1 <= out <= 50
+
+    def test_b1_abandoned_tree_is_exceeded(self):
+        # lam E W^2 = 7.5: the tree passes cap; its size is the plain int EXCEEDED
+        assert simulate_B1(1.0, 3.0, W12, 50, rng_for(0)) == EXCEEDED == -1
+
+    def test_identity_check_counts_abandoned_trees(self):
+        # about a quarter of the trees pass cap = 5 on both sides, and each counts as 6
+        assert (progeny_batch(0.35, W12, 20_000, 5, rng_for(1)) == EXCEEDED).mean() > 0.2
+        assert identity_check(0.35, W12, 20_000, 5, rng_for(21))[1] > 1e-4
 
     def test_borel_check_counts_abandoned_trees(self):
         # about 5% of the trees pass cap = 5; each counts as 6, so it reaches every k <= 6

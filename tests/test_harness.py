@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -6,8 +7,10 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from torusgraph import harness
 from torusgraph.cli import main as cli_main
 from torusgraph.errors import ParameterError
 from torusgraph.harness import (
@@ -168,6 +171,24 @@ class TestRunExperiment:
         serial = run_experiment(plan, threads=1).to_csv()
         parallel = run_experiment(small_plan(), threads=2).to_csv()
         assert serial == parallel
+
+    def test_pool_never_outnumbers_replicates(self, monkeypatch):
+        # a fork-started pool forks every worker at its first map; the
+        # stand-in records the count asked for and maps serially, so no
+        # process starts
+        workers = []
+
+        class SerialPool(contextlib.nullcontext):
+            map = staticmethod(map)
+
+            def __init__(self, max_workers):
+                super().__init__()
+                workers.append(max_workers)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        assert run_experiment(small_plan(), threads=64).to_csv() == run_experiment(small_plan()).to_csv()
+        run_experiment(small_plan(replicates=1), threads=64)  # one worker: no pool
+        assert workers == [3]
 
     @pytest.mark.parametrize("plan,expected", [
         ({"N": 30, "lambda": 2.0, "replicates": 3, "seed": 2024}, [
@@ -473,6 +494,9 @@ class TestCLI:
                      "values[0] must be a number", id="plan-values-strings"),
         pytest.param(["simulate"], {"N": 10, "c": 0.5, "weights": {"kind": "truncated_exponential", "n_nodes": 400.7}},
                      "n_nodes must be an integer", id="plan-n_nodes-fractional"),
+        pytest.param(["simulate"], {"N": 10, "c": 0.5, "weights": {"kind": "truncated_exponential",
+                                                                    "n_nodes": 100000}},
+                     "n_nodes must be <= 4096", id="plan-n_nodes-huge"),
         pytest.param(["simulate"], [1, 2], "a plan must be a JSON object", id="plan-list"),
         pytest.param(["simulate"], {"sweep": [[6, 2]]}, "a sweep point must be a JSON object", id="plan-point-list"),
         pytest.param(["simulate", "--threads", "0"], {"N": 10, "c": 0.5}, "--threads must be >= 1", id="threads-0"),
@@ -484,9 +508,13 @@ class TestCLI:
         pytest.param(["verify", "--seed", "1"], None, "unrecognized arguments", id="verify-seed"),
         pytest.param(["verify", "--out", "x"], None, "unrecognized arguments", id="verify-out"),
     ])
-    def test_bad_input_exits_2(self, argv, plan, message, tmp_path, capsys):
+    def test_bad_input_exits_2(self, argv, plan, message, tmp_path, capsys, monkeypatch):
         # a bad value or an option the command does not read is a usage
-        # error, reported before anything runs: no traceback, no output row
+        # error, reported before anything runs: no traceback, no output row,
+        # and no quadrature past the node bound
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda n: leggauss(n) if n <= 4096 else pytest.fail(f"{n} nodes computed"))
         if plan is not None:
             cfg = tmp_path / "plan.json"
             cfg.write_text(json.dumps(plan))

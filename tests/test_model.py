@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -65,6 +66,12 @@ class TestWeightSpec:
         x = w.sample(10**5, rng_for(2))
         assert np.all((0 <= x) & (x <= 8))
         assert abs(x.mean() - mean) < 0.02
+
+    def test_n_nodes_refused_before_any_node(self, monkeypatch):
+        # leggauss(n) eigen-solves a dense n x n matrix: 100000 nodes would need about 80 GB
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: pytest.fail(f"{n} nodes computed"))
+        with pytest.raises(ValueError, match="n_nodes must be <= 4096"):
+            WeightSpec.truncated_exponential(1.0, 8.0, n_nodes=100_000)
 
     def test_continuous_requires_normalized_density(self):
         # three nodes cannot integrate the density to within 1e-8
@@ -390,6 +397,22 @@ class TestSampleGraph:
                     if rng.random() < edge_probability((a // N + 1, a % N + 1), (b // N + 1, b % N + 1),
                                                        wt[a], wt[b], m)]
             assert sample_graph_reference(m, seed=s).edges.tolist() == [list(e) for e in loop]
+
+    def test_the_profile_is_ring_scale(self, monkeypatch):
+        # every reader takes a_r from ring_scale: swapped for c / (N r^2), the
+        # reference is still the pairwise loop and sample_graph's mean edge
+        # count still follows mean_degree, which the swap cuts over 4-fold
+        t0 = time.perf_counter()
+        cfg = TorusConfig(20)
+        before = mean_degree(2.0, cfg)
+        monkeypatch.setattr("torusgraph.model.ring_scale", lambda c, N: c / (N * np.arange(1, N + 1) ** 2))
+        self.test_reference_is_the_pairwise_loop(4, 5.0)
+        m = ModelConfig(cfg, 2.0)  # a_1 = 0.1, so no p is capped
+        expect = cfg.n_vertices * mean_degree(2.0, cfg) / 2
+        counts = np.array([sample_graph(m, seed=s).edge_count for s in range(200)])
+        assert abs(counts.mean() - expect) < 4 * counts.std(ddof=1) / math.sqrt(200)
+        assert mean_degree(2.0, cfg) < before / 4
+        assert time.perf_counter() - t0 < 1.0
 
     # a zero weight, or an all-zero law's B = 0, must map to a layer without
     # a division by zero or a nan cast to an integer
