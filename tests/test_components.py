@@ -10,7 +10,7 @@ from torusgraph.components import (
     largest_component,
 )
 from torusgraph.geometry import TorusConfig
-from torusgraph.model import Graph, ModelConfig, c_of_lambda, sample_graph
+from torusgraph.model import Graph, ModelConfig, WeightSpec, sample_graph
 
 
 def rng_for(seed):
@@ -18,8 +18,10 @@ def rng_for(seed):
 
 
 def make_graph(N, edge_list):
+    """Graph with unit weights whose edges are (min, max) pairs sorted
+    lexicographically, the order `Graph.edges` promises."""
     edges = (
-        np.array([(min(a, b), max(a, b)) for a, b in edge_list], dtype=np.int64)
+        np.array(sorted((min(a, b), max(a, b)) for a, b in edge_list), dtype=np.int64)
         if edge_list
         else np.empty((0, 2), dtype=np.int64)
     )
@@ -55,12 +57,27 @@ class TestLargestComponent:
         assert cs.count == 2 + 9
         assert list(cs.sizes) == [4, 3] + [1] * 9
 
-    @pytest.mark.parametrize("N, lam, seed", [(20, 0.8, 1), (24, 1.5, 2), (31, 2.5, 3)])
-    def test_matches_exploration_oracle(self, N, lam, seed):
-        g = sample_graph(ModelConfig(TorusConfig(N), c_of_lambda(lam), seed=seed))
+    def test_path_listed_from_its_far_end(self):
+        # N=3: the path 0-3-6-7-8 and 4 isolated vertices.  Read in the
+        # listed order, with each row's entries taken from the wrong lo,
+        # the path would fall apart (into sizes 2, 2, 1, ... with a self-loop)
+        g = make_graph(3, [(7, 8), (6, 7), (3, 6), (0, 3)])
+        cs = largest_component(g)
+        assert list(cs.sizes) == [5, 1, 1, 1, 1]
+        assert cs.largest == 5 and cs.count == 5
+
+    @pytest.mark.parametrize("N, lam, w, seed", [
+        (20, 0.8, WeightSpec.constant(), 1),
+        (24, 1.5, WeightSpec.constant(), 2),
+        (31, 2.5, WeightSpec.constant(), 3),
+        # the full view, with many isolated vertices
+        (40, 0.3, WeightSpec.truncated_exponential(1.0, 8.0), 0),
+    ], ids=["20-0.8-1", "24-1.5-2", "31-2.5-3", "40-0.3-trunc_exp8-0"])
+    def test_matches_exploration_oracle(self, N, lam, w, seed):
+        g = sample_graph(ModelConfig.from_lambda(N, lam, w, seed=seed))
         traces = component_decomposition(g, rng_for(seed))
-        expect = sorted(t.T for t in traces)
-        assert sorted(largest_component(g).sizes.tolist()) == expect
+        expect = sorted((t.T for t in traces), reverse=True)
+        assert largest_component(g).sizes.tolist() == expect
 
     def test_sizes_sum(self):
         g = sample_graph(ModelConfig(TorusConfig(12), 0.8, seed=3))

@@ -9,6 +9,7 @@ import pytest
 from torusgraph.errors import ParameterError
 from torusgraph.geometry import TorusConfig, kernel, ring_sizes, torus_distance
 from torusgraph.model import (
+    LAYERS_PER_OCTAVE,
     MAX_LAYER,
     Graph,
     ModelConfig,
@@ -23,6 +24,9 @@ from torusgraph.model import (
     slot_table,
     _weight_layers,
 )
+
+# a few heavy vertices: graphs at lambda E(W^2) = 0.3 take the full view
+HEAVY = WeightSpec.discrete([1.0, 8.0, 64.0], [0.9, 0.09, 0.01])
 
 
 def rng_for(seed):
@@ -242,7 +246,7 @@ class TestCandidatePopulation:
         n = N * N
         weights = w.sample(n, rng_for(N))
         o, u, v, _ = all_slots(N, full=True)
-        own = slot_table(N).owns(o, u, v, weights)
+        own = slot_table(N).owns(o, u, v, weights[u], weights[v])
         key = np.minimum(u, v)[own] * n + np.maximum(u, v)[own]
         assert key.size == n * (n - 1) // 2 == np.unique(key).size
         wu, wv = weights[u[own]], weights[v[own]]
@@ -464,6 +468,24 @@ class TestSampleGraph:
         assert np.all(cap >= weights)
         assert np.all(cap[live] < weights[live] * 2**0.25)
 
+    def test_weight_layer_order_is_stable(self):
+        # vertices listed layer by layer and by index within a layer, as a
+        # stable sort of the layer index lists them; zeros, ties and weights
+        # below B / 2^MAX_LAYER share the lowest layer, 4 * MAX_LAYER
+        B = 8.0
+        rng = rng_for(7)
+        weights = rng.permutation(np.concatenate([
+            [B, B, 0.0, 0.0, B / 2**MAX_LAYER, B / 2**13, B / 2**20, 3.0, 3.0, 3.0],
+            rng.uniform(0.0, B, 5000),
+            B * 2.0 ** -rng.uniform(0.0, 14.0, 5000),
+        ]))
+        layer = np.floor(LAYERS_PER_OCTAVE * np.log2(B / np.maximum(weights, B / 2**MAX_LAYER)))
+        order, sizes, _ = _weight_layers(weights)
+        assert layer.max() == LAYERS_PER_OCTAVE * MAX_LAYER
+        assert np.array_equal(order, np.argsort(layer, kind="stable"))
+        counts = np.bincount(layer.astype(np.int64))
+        assert np.array_equal(sizes, counts[counts > 0])
+
     def test_layered_proposals_per_edge(self):
         # quarter-octave weight layers propose about 4.6 slots per edge,
         # where whole octaves took 8.3 and one cap at B^2 for every slot
@@ -475,7 +497,7 @@ class TestSampleGraph:
 
     @pytest.mark.parametrize("w, bound", [
         (WeightSpec.truncated_exponential(1.0, 8.0), 6.0),
-        (WeightSpec.discrete([1.0, 8.0, 64.0], [0.9, 0.09, 0.01]), 24.0),
+        (HEAVY, 24.0),
     ], ids=["trunc_exp8", "discrete1_8_64"])
     def test_heavier_endpoint_proposals_per_edge(self, w, bound):
         # at lambda E(W^2) = 0.3 the full view drew 4.7 and 19.9 slots per
@@ -498,6 +520,20 @@ class TestSampleGraph:
         m = ModelConfig.from_lambda(N, lam, w, seed=seed)
         g = sample_graph(m)
         assert not g.full
+        assert hashlib.sha256(g.edges.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("w, lam, seed, edges, digest", [
+        (WeightSpec.truncated_exponential(1.0, 8.0), 0.3, 0, 1579,
+         "dee4c8fd6c3a78dbb6c96b9c567c3a0c35088ff52940c0440c38f427aa91893a"),
+        (HEAVY, 0.3 / HEAVY.second_moment, 0, 166,
+         "0b3fa8e9999f237a1090086bf747ed6322a322a0eaa7c488b0d9b429e6ce172a"),
+    ], ids=["N100-trunc_exp8", "N100-discrete1_8_64"])
+    def test_pinned_full_view_edge_digests(self, w, lam, seed, edges, digest):
+        # graphs the full view proposes, over several weight layers, keep
+        # their exact edge streams
+        g = sample_graph(ModelConfig.from_lambda(100, lam, w, seed=seed))
+        assert g.full
+        assert g.edge_count == edges
         assert hashlib.sha256(g.edges.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("N", [30, 31])
