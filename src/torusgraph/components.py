@@ -24,14 +24,15 @@ from .model import Graph
 
 @dataclass
 class ComponentSummary:
-    sizes: np.ndarray  # descending
-    largest: int
-    count: int
+    sizes: np.ndarray  # descending, one entry per component
 
-    @classmethod
-    def from_sizes(cls, sizes) -> "ComponentSummary":
-        arr = np.sort(np.asarray(sizes, dtype=np.int64))[::-1]
-        return cls(sizes=arr, largest=int(arr[0]), count=len(arr))
+    @property
+    def largest(self) -> int:
+        return int(self.sizes[0])
+
+    @property
+    def count(self) -> int:
+        return self.sizes.size
 
 
 def largest_component(g: Graph) -> ComponentSummary:
@@ -50,7 +51,7 @@ def largest_component(g: Graph) -> ComponentSummary:
     m = int(new_id[-1]) + 1
     singletons = np.ones(n - m, dtype=np.int64)
     if m == 0:
-        return ComponentSummary(sizes=singletons, largest=1, count=n)
+        return ComponentSummary(singletons)
     lo, hi = new_id[e[:, 0]], new_id[e[:, 1]]
     indptr = np.zeros(m + 1, dtype=np.int32)
     np.cumsum(np.bincount(lo, minlength=m), out=indptr[1:])
@@ -58,8 +59,7 @@ def largest_component(g: Graph) -> ComponentSummary:
     adj = csr_matrix((np.ones(lo.size), hi, indptr), shape=(m, m))
     _, labels = connected_components(adj, directed=False)
     sizes = np.sort(np.bincount(labels))[::-1]
-    return ComponentSummary(sizes=np.concatenate([sizes, singletons]), largest=int(sizes[0]),
-                            count=sizes.size + singletons.size)
+    return ComponentSummary(np.concatenate([sizes, singletons]))
 
 
 @dataclass

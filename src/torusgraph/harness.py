@@ -72,6 +72,8 @@ class ExperimentPlan:
     output: str | None = None
 
     def __post_init__(self):
+        if not self.sweep:  # else a run would write a header and no row
+            raise ParameterError("sweep must hold at least one point")
         self.replicates = integer(self.replicates, "replicates", 1)
         self.seed = integer(self.seed, "seed", 0)
         if self.estimator not in ESTIMATORS:
@@ -261,10 +263,9 @@ DEFAULT_TV_GRID = tuple(
 DEFAULT_LAMBDA_N_SWEEP = (250, 500, 1000, 2000)
 
 
-def verify_coupling(tv_grid=DEFAULT_TV_GRID, lambda_n_sweep=DEFAULT_LAMBDA_N_SWEEP,
-                    c: float = 1.0) -> list[dict]:
+def verify_coupling(tv_grid=DEFAULT_TV_GRID, lambda_n_sweep=DEFAULT_LAMBDA_N_SWEEP) -> list[dict]:
     """Pass/fail table for the Binomial-Poisson TV bound and the
-    finite-N intensity expansion lambda_N = lambda - 2c/N + o(1/N)."""
+    finite-N intensity expansion lambda_N = lambda - 2c/N + o(1/N), at c = 1."""
     rows: list[dict] = []
     for n, lam in tv_grid:
         tv = binomial_poisson_tv(n, lam)
@@ -274,6 +275,7 @@ def verify_coupling(tv_grid=DEFAULT_TV_GRID, lambda_n_sweep=DEFAULT_LAMBDA_N_SWE
              "value": tv, "bound": bound, "passed": tv <= bound}
         )
     if lambda_n_sweep:
+        c = 1.0
         lam = lambda_of_c(c)
         errs = []
         for N in lambda_n_sweep:

@@ -82,15 +82,13 @@ class WeightSpec:
     exponential tilt E(W^k e^{sW}) is finite.
     """
 
-    def __init__(self, kind: str, atoms: np.ndarray, masses: np.ndarray, sampler,
-                 support_bound: float, params: dict | None, tilde_sampler=None, on_atoms=True):
+    def __init__(self, atoms: np.ndarray, masses: np.ndarray, sampler, support_bound: float,
+                 params: dict | None, tilde_sampler=None):
         atoms.flags.writeable = masses.flags.writeable = False
-        self.kind = kind
         self.atoms = atoms
         self.masses = masses
         self._sampler = sampler  # sampler(rng, n) -> n draws of W
         self._tilde_sampler = tilde_sampler  # the same for W's size-biased law, see size_biased
-        self._on_atoms = on_atoms  # whether W takes only the values in atoms, not quadrature nodes
         self.support_bound = support_bound
         self._params = params  # JSON form of the constructor call, see to_dict
         if not support_bound * support_bound < math.inf:  # then no atom's square overflows
@@ -107,7 +105,7 @@ class WeightSpec:
         w = float(value)
         if not 0 <= w < math.inf:
             raise ValueError(f"weight must be nonnegative and finite, got {w}")
-        return cls("constant", np.array([w]), np.array([1.0]), lambda rng, n: np.full(n, w),
+        return cls(np.array([w]), np.array([1.0]), lambda rng, n: np.full(n, w),
                    w, {"kind": "constant", "value": w})
 
     @classmethod
@@ -120,7 +118,7 @@ class WeightSpec:
             raise ValueError("weights must be nonnegative and finite")
         if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-12):
             raise ValueError("probabilities must be nonnegative and sum to 1")
-        return cls("discrete", values, probs, _discrete_sampler(values, probs), float(values.max()),
+        return cls(values, probs, _discrete_sampler(values, probs), float(values.max()),
                    {"kind": "discrete", "values": values.tolist(), "probs": probs.tolist()})
 
     @classmethod
@@ -170,9 +168,9 @@ class WeightSpec:
             return y
 
         # dividing by total absorbs quadrature round-off
-        return cls("truncated_exponential", nodes, qw / total, sampler, upper,
+        return cls(nodes, qw / total, sampler, upper,
                    {"kind": "truncated_exponential", "rate": rate, "upper": upper,
-                    "n_nodes": int(n_nodes)}, tilde_sampler, on_atoms=False)
+                    "n_nodes": int(n_nodes)}, tilde_sampler)
 
     # -- JSON form ---------------------------------------------------------
 
@@ -230,24 +228,23 @@ class WeightSpec:
     @functools.cached_property
     def size_biased(self) -> "WeightSpec":
         """Law of the size-biased weight, y mu(dy) / E W: W's own atoms
-        with masses atoms * masses / E W.  It is drawn by the sampler the
-        law supplies, exact for every constructor law.  A law that takes
-        only the values in its atoms (a point mass, a discrete law and
-        their size-biased laws) supplies none and draws from those masses.
-        The size-biased law of a truncated exponential's size-biased law
-        has neither, as its atoms are quadrature nodes, and raises
-        ValueError.  A one-atom law is its own size-biased law."""
+        with masses atoms * masses / E W.  It is defined for the laws the
+        constructors build and drawn exactly: by the sampler the law
+        supplies (the truncated exponential's), else from those masses, as
+        a point mass or a discrete law takes only the values in its atoms.
+        A one-atom law is its own size-biased law.  A size-biased law has
+        none here and raises ValueError: its atoms may be quadrature nodes,
+        and no program path reads the size-biased law of one."""
         M = self.mean
         if M <= 0:
             raise ValueError("size biasing needs E W > 0")
         if self.atoms.size == 1:
             return self
-        if self._tilde_sampler is None and not self._on_atoms:
-            raise ValueError("no exact sampler for this size-biased law: its atoms are quadrature nodes")
+        if self._params is None:
+            raise ValueError("a size-biased weight law has no size-biased law")
         masses = self.atoms * self.masses / M
         sampler = self._tilde_sampler or _discrete_sampler(self.atoms, masses)
-        return WeightSpec("size_biased", self.atoms, masses, sampler, self.support_bound, None,
-                          on_atoms=self._on_atoms)
+        return WeightSpec(self.atoms, masses, sampler, self.support_bound, None)
 
     def __repr__(self) -> str:
         if self._params is None:
@@ -268,9 +265,9 @@ def lambda_of_c(c: float) -> float:
 
 
 def c_of_lambda(lam: float) -> float:
-    """Inverse of lambda_of_c."""
-    if not 0 < lam < math.inf:
-        raise ValueError(f"lambda must be positive and finite, got {lam}")
+    """Inverse of lambda_of_c; lambda = 0 is the empty model, as c = 0."""
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lambda must be nonnegative and finite, got {lam}")
     return lam / LOG2X4
 
 
@@ -287,10 +284,6 @@ class ModelConfig:
             raise ValueError(f"edge-intensity c must be nonnegative and finite, got {self.c}")
         if self.seed < 0:  # numpy's seeding would raise only when the graph is sampled
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
-
-    @classmethod
-    def from_lambda(cls, N: int, lam: float, weights: WeightSpec | None = None, seed: int = 0) -> "ModelConfig":
-        return cls(TorusConfig(N), c_of_lambda(lam), weights or WeightSpec.constant(), seed)
 
 
 def ring_scale(c: float, N: int) -> np.ndarray:
@@ -336,11 +329,12 @@ def mean_degree(c: float, cfg: TorusConfig) -> float:
 
 @dataclass
 class Graph:
-    """Immutable sampled graph on the N^2 torus vertices.
+    """Sampled graph on the N^2 torus vertices.
 
     Vertices are indexed 0..N^2-1 row-major over coordinates; `edges`
     holds each undirected edge once as (min, max), lexicographically
-    sorted.  The CSR adjacency is built lazily, once.
+    sorted.  The CSR adjacency is built lazily, once, and cached, so do
+    not mutate the graph once `adjacency` has been read.
     """
 
     N: int
@@ -356,9 +350,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def degrees(self) -> np.ndarray:
-        return np.bincount(self.edges.ravel(), minlength=self.n_vertices)
 
     @functools.cached_property
     def adjacency(self) -> csr_matrix:
@@ -502,12 +493,13 @@ def _slot_view(slots: SlotTable, a_r: np.ndarray, sizes: np.ndarray,
     return bool(cheaper), full if cheaper else half
 
 
-def sample_graph(m: ModelConfig, seed: int | None = None) -> Graph:
+def sample_graph(m: ModelConfig) -> Graph:
     """Sample the graph by layered ring thinning; exact and near-linear.
 
-    One Philox stream per graph: the vertex weights first, then the
-    proposal counts of all (ring, weight layer) groups in one Poisson
-    call, then per chunk of groups the slots and their thinning uniforms.
+    One Philox stream per graph, seeded by `m.seed`: the vertex weights
+    first, then the proposal counts of all (ring, weight layer) groups in
+    one Poisson call, then per chunk of groups the slots and their
+    thinning uniforms.
     With B the largest sampled weight, vertex u sits in the layer
     a = floor(K log2(B / W_u)), K = LAYERS_PER_OCTAVE, capped at
     K MAX_LAYER, and M_a, the largest weight in layer a, rounds W_u up by
@@ -558,7 +550,7 @@ def sample_graph(m: ModelConfig, seed: int | None = None) -> Graph:
     """
     cfg = m.torus
     N, n = cfg.N, cfg.n_vertices
-    rng = np.random.Generator(np.random.Philox(m.seed if seed is None else seed))
+    rng = np.random.Generator(np.random.Philox(m.seed))
     weights = m.weights.sample(n, rng)
     order, sizes, top = _weight_layers(weights)
     L, base = sizes.size, np.cumsum(sizes) - sizes
@@ -626,7 +618,7 @@ def sample_graph(m: ModelConfig, seed: int | None = None) -> Graph:
     return Graph(N, weights, np.stack(np.divmod(key, n), axis=1), proposals, full)
 
 
-def sample_graph_reference(m: ModelConfig, seed: int | None = None) -> Graph:
+def sample_graph_reference(m: ModelConfig) -> Graph:
     """O(N^4) per-pair reference sampler (small N only).
 
     One uniform per unordered pair, in canonical index order, against
@@ -637,7 +629,7 @@ def sample_graph_reference(m: ModelConfig, seed: int | None = None) -> Graph:
     N, n = cfg.N, cfg.n_vertices
     if n > 4096:
         raise ParameterError("reference sampler is O(N^4); use sample_graph for N > 64")
-    rng = np.random.Generator(np.random.Philox(m.seed if seed is None else seed))
+    rng = np.random.Generator(np.random.Philox(m.seed))
     weights = m.weights.sample(n, rng)
 
     d = cfg.offset_dist

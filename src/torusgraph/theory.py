@@ -72,7 +72,7 @@ def weighted_beta_profile(lam: float, w: WeightSpec):
     point map, so the functional equation reduces to
         b = E[ W (1 - e^{-lambda W b}) ],
     whose maximal root b* is positive iff lambda E(W^2) > 1.  Returns
-    (b*, beta profile as a callable, beta_hat = E beta(W)).
+    (b*, beta_hat = E beta(W)).
     """
     crit = critical_parameter(lam, w)
 
@@ -88,11 +88,8 @@ def weighted_beta_profile(lam: float, w: WeightSpec):
         b_star = float(brentq(g, lo, hi, xtol=1e-16, rtol=8.9e-16))
         assert abs(g(b_star)) < 1e-10
 
-    def beta_fn(x):
-        return 1.0 - np.exp(-lam * np.asarray(x, dtype=float) * b_star)
-
     beta_hat = w.expectation(lambda y: 1.0 - np.exp(-lam * y * b_star))
-    return b_star, beta_fn, float(beta_hat)
+    return b_star, float(beta_hat)
 
 
 def tilt_moments(w: WeightSpec, s: float, k: int) -> float:
@@ -164,8 +161,8 @@ class TheoryReport:
     sub_const_weighted: float | None = None  # 1/log gamma
     residuals: dict | None = None
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(asdict(self), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), indent=2)
 
 
 def build_report(lam: float, w: WeightSpec) -> TheoryReport:
@@ -178,7 +175,7 @@ def build_report(lam: float, w: WeightSpec) -> TheoryReport:
 
     homogeneous = w.atoms.tolist() == [1.0]  # W == 1: one atom, at 1
     if regime == "supercritical":
-        b_star, _, beta_hat = weighted_beta_profile(lam, w)
+        b_star, beta_hat = weighted_beta_profile(lam, w)
         report.b_star, report.beta_hat = b_star, beta_hat
         report.residuals["b_star"] = abs(
             w.expectation(lambda y: y * (1.0 - np.exp(-lam * y * b_star))) - b_star

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from torusgraph.components import (
-    ComponentSummary,
     component_decomposition,
     explore_component,
     largest_component,
 )
 from torusgraph.geometry import TorusConfig
-from torusgraph.model import Graph, ModelConfig, WeightSpec, sample_graph
+from torusgraph.model import Graph, ModelConfig, WeightSpec, c_of_lambda, sample_graph
 
 
 def rng_for(seed):
@@ -74,7 +73,7 @@ class TestLargestComponent:
         (40, 0.3, WeightSpec.truncated_exponential(1.0, 8.0), 0),
     ], ids=["20-0.8-1", "24-1.5-2", "31-2.5-3", "40-0.3-trunc_exp8-0"])
     def test_matches_exploration_oracle(self, N, lam, w, seed):
-        g = sample_graph(ModelConfig.from_lambda(N, lam, w, seed=seed))
+        g = sample_graph(ModelConfig(TorusConfig(N), c_of_lambda(lam), w, seed))
         traces = component_decomposition(g, rng_for(seed))
         expect = sorted((t.T for t in traces), reverse=True)
         assert largest_component(g).sizes.tolist() == expect
@@ -161,9 +160,3 @@ class TestDecomposition:
         got = sorted(t.T for t in traces)
         expect = sorted(largest_component(g).sizes.tolist())
         assert got == expect
-
-
-def test_component_summary_from_sizes():
-    cs = ComponentSummary.from_sizes([3, 1, 5, 1])
-    assert cs.largest == 5 and cs.count == 4
-    assert list(cs.sizes) == [5, 3, 1, 1]

@@ -40,7 +40,7 @@ def small_plan(**over):
 class TestWeightsDict:
     def test_default_constant(self):
         w = WeightSpec.from_dict(None)
-        assert w.kind == "constant" and w.mean == 1.0
+        assert w.to_dict()["kind"] == "constant" and w.mean == 1.0
 
     def test_discrete_roundtrip(self):
         d = {"kind": "discrete", "values": [1.0, 2.0], "probs": [0.5, 0.5]}
@@ -70,7 +70,7 @@ class TestWeightsDict:
         w = WeightSpec.from_dict(d)
         assert w.to_dict() == d
         back = WeightSpec.from_dict(json.loads(json.dumps(w.to_dict())))
-        assert back.kind == w.kind
+        assert back.to_dict()["kind"] == w.to_dict()["kind"]
         assert back.support_bound == w.support_bound
         assert back.mean == w.mean and back.second_moment == w.second_moment
 
@@ -448,9 +448,10 @@ class TestCLI:
         pytest.param(["export-graph", "--N", "8", "--c", "-1", "--out-prefix", "unused"], None,
                      "c must be nonnegative", id="export-c-negative"),
         pytest.param(["export-graph", "--N", "8", "--lambda", "NaN", "--out-prefix", "unused"], None,
-                     "lambda must be positive", id="export-lambda-nan"),
+                     "lambda must be nonnegative", id="export-lambda-nan"),
         pytest.param(["simulate"], {"N": 10, "c": -1}, "c must be nonnegative", id="plan-c-negative"),
-        pytest.param(["simulate"], {"N": 10, "lambda": math.nan}, "lambda must be positive", id="plan-lambda-nan"),
+        pytest.param(["simulate"], {"N": 10, "lambda": math.nan}, "lambda must be nonnegative",
+                     id="plan-lambda-nan"),
         pytest.param(["simulate"], {"sweep": [{"N": 10, "lambda": 2.0}, {"N": 1, "lambda": 2.0}]},
                      "N must be an integer >= 2", id="plan-second-point-N-1"),
         pytest.param(["simulate"], {"N": 20.7, "lambda": 2.0}, "N must be an integer", id="plan-N-fractional"),
@@ -480,6 +481,7 @@ class TestCLI:
         pytest.param(["simulate"], {"N": 10, "c": 0.5, "weights": {"kind": "constant", "value": None}},
                      "value must be a number", id="plan-value-null"),
         pytest.param(["simulate"], {"sweep": 5}, "sweep must be a list", id="plan-sweep-5"),
+        pytest.param(["simulate"], {"sweep": []}, "sweep must hold at least one point", id="plan-sweep-empty"),
         pytest.param(["simulate"], {"N": 10, "c": 0.5, "weights": "heavy"}, "weight law must be a JSON object",
                      id="plan-weights-string"),
         pytest.param(["simulate"], {"N": 10, "c": 0.5, "output": 5}, "output must be a string", id="plan-output-5"),
@@ -581,6 +583,19 @@ class TestCLI:
         assert cli_main(["simulate", "--config", str(cfg)]) == 0
         rows = [r for r in capsys.readouterr().out.splitlines() if r.startswith("replicate")]
         assert [r.split(",")[7:9] for r in rows] == [["1", "0"], ["1", "0"]]  # C, edges
+
+    def test_lambda_zero_is_the_empty_model(self, tmp_path, capsys):
+        # lambda = 0 runs the empty model, as c = 0 and an all-zero law do
+        cfg = tmp_path / "plan.json"
+        cfg.write_text(json.dumps({"N": 8, "lambda": 0, "replicates": 2}))
+        assert cli_main(["simulate", "--config", str(cfg)]) == 0
+        rows = [r for r in capsys.readouterr().out.splitlines() if r.startswith("replicate")]
+        assert [r.split(",")[7:9] for r in rows] == [["1", "0"], ["1", "0"]]  # C, edges
+        prefix = str(tmp_path / "g")
+        assert cli_main(["export-graph", "--N", "8", "--lambda", "0", "--out-prefix", prefix]) == 0
+        assert "edges=0 " in capsys.readouterr().out
+        assert (tmp_path / "g.edges").read_text() == ""
+        assert len((tmp_path / "g.weights").read_text().splitlines()) == 64
 
     def test_simulate_seed_override(self, tmp_path, capsys):
         plan = {"N": 8, "c": 0.5, "replicates": 2, "seed": 3}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -93,27 +94,26 @@ class TestCriticalParameter:
 class TestWeightedBetaProfile:
     @pytest.mark.parametrize("lam", [1.5, 2.0, 3.0])
     def test_reduces_to_homogeneous(self, lam):
-        b_star, beta_fn, beta_hat = weighted_beta_profile(lam, WeightSpec.constant(1.0))
+        b_star, beta_hat = weighted_beta_profile(lam, WeightSpec.constant(1.0))
         beta = supercritical_beta(lam)
         assert b_star == pytest.approx(beta, abs=1e-12)
         assert beta_hat == pytest.approx(beta, abs=1e-12)
-        assert beta_fn(1.0) == pytest.approx(beta, abs=1e-12)
 
     def test_zero_below_threshold(self):
         for lam in (0.1, 0.3, 0.4):  # lam E W^2 = 0.25, 0.75, 1.0
-            b_star, _, beta_hat = weighted_beta_profile(lam, W12)
+            b_star, beta_hat = weighted_beta_profile(lam, W12)
             assert b_star == 0.0 and beta_hat == 0.0
 
     def test_w12_lambda_one(self):
         # frozen from a 30-digit fixed-point solve of
         # b = (1 - e^-b)/2 + (1 - e^-2b)
-        b_star, _, beta_hat = weighted_beta_profile(1.0, W12)
+        b_star, beta_hat = weighted_beta_profile(1.0, W12)
         assert b_star == pytest.approx(1.2851963780417547, abs=1e-10)
         assert beta_hat == pytest.approx(0.8234491238043316, abs=1e-10)
 
     def test_residual_and_maximality(self):
         lam = 1.0
-        b_star, _, _ = weighted_beta_profile(lam, W12)
+        b_star, _ = weighted_beta_profile(lam, W12)
         g = lambda b: W12.expectation(lambda y: y * -np.expm1(-lam * y * b)) - b
         assert abs(g(b_star)) < 1e-10
         grid = np.linspace(b_star + 1e-9, W12.mean, 1000)
@@ -122,7 +122,7 @@ class TestWeightedBetaProfile:
     def test_monotone_in_lambda(self):
         lams = np.linspace(0.45, 3.0, 30)
         bs = [weighted_beta_profile(l, W12)[0] for l in lams]
-        bhs = [weighted_beta_profile(l, W12)[2] for l in lams]
+        bhs = [weighted_beta_profile(l, W12)[1] for l in lams]
         assert all(a <= b for a, b in zip(bs, bs[1:]))
         assert all(a <= b for a, b in zip(bhs, bhs[1:]))
 
@@ -216,3 +216,15 @@ class TestReport:
         payload = json.loads(r.to_json())
         assert payload["regime"] == "supercritical"
         assert payload["beta_hat"] == pytest.approx(r.beta_hat)
+
+    @pytest.mark.parametrize("lam, w, digest", [
+        (2.0, WeightSpec.constant(), "6ca864f17c62840fa3f474a2c9e09df3a588de30d402393fda8a627735d1a51b"),
+        (0.3, WeightSpec.truncated_exponential(1.0, 8.0),
+         "ab8fb6e26ee544d0bdcd4743600b434f847ab04b9c24e544ce6a9eed36f218dc"),
+        (1.0, W12, "c0460eb8e73c34ebe56a6d387b750836b8ea096870145eeea4f341747d43c3b7"),
+        (0.4, W12, "d2cd967a563495d818905c245a8882c0852774fc42972e97b47d751a6cbb4ca4"),
+    ], ids=["supercritical-constant", "subcritical-trunc_exp8", "supercritical-discrete12",
+            "critical-discrete12"])
+    def test_pinned_report_json(self, lam, w, digest):
+        # the exact report text, every digit and key order of every regime
+        assert hashlib.sha256(build_report(lam, w).to_json().encode()).hexdigest() == digest
