@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import sys
 
@@ -47,8 +46,7 @@ def main(argv=None) -> int:
     sim.add_argument("--config", required=True, help="JSON plan file")
     sim.add_argument("--threads", type=int, default=1)
     sim.add_argument("--format", choices=("csv", "json"), default="csv")
-    sim.add_argument("--seed", type=int, default=None, help="override the plan's root seed")
-    sim.add_argument("--out", default=None, help="output path (default: the plan's, else stdout)")
+    sim.add_argument("--out", default=None, help="output path (default: stdout)")
 
     th = sp.add_parser("theory", help="emit a theory report")
     group = th.add_mutually_exclusive_group(required=True)
@@ -92,8 +90,6 @@ def main(argv=None) -> int:
                         raise ParameterError(f"{flag} is not read by --check {args.check}")
         if args.command == "simulate":
             plan = ExperimentPlan.load(args.config)
-            if args.seed is not None:
-                plan = dataclasses.replace(plan, seed=args.seed)
             if args.threads < 1:
                 raise ParameterError(f"--threads must be >= 1, got {args.threads}")
         elif args.command != "verify":
@@ -118,7 +114,7 @@ def main(argv=None) -> int:
                                          f"{spec.second_moment:g} = {mean_offspring:g}")
                 spec.size_biased  # B1's root law raises here unless E W > 0
             rng = np.random.Generator(np.random.Philox(args.seed))
-        path = (args.out or plan.output) if args.command == "simulate" else vars(args).get("out")
+        path = vars(args).get("out")
         out = files.enter_context(open(path, "w")) if path else sys.stdout
         if args.command == "export-graph":
             edges, weights = (files.enter_context(open(args.out_prefix + ext, "w"))

@@ -36,10 +36,9 @@ weights_from_dict = WeightSpec.from_dict
 # plan
 # ---------------------------------------------------------------------------
 
-_DEFAULT_WEIGHTS = {"kind": "constant", "value": 1.0}
 # the keys a plan and a sweep point may carry, see ExperimentPlan.from_dict
 _POINT_KEYS = {"N", "c", "lambda", "weights"}
-_PLAN_KEYS = {"weights", "replicates", "estimator", "seed", "output"}
+_PLAN_KEYS = {"weights", "replicates", "estimator", "seed"}
 
 
 @dataclass
@@ -50,7 +49,7 @@ class SweepPoint:
 
     def __post_init__(self):  # a bad point fails when its plan is built, before any point runs
         if self.weights is None:
-            self.weights = _DEFAULT_WEIGHTS.copy()
+            self.weights = WeightSpec.constant().to_dict()
         self.N = integer(self.N, "N", 2)  # N = 2 is the smallest torus
         lambda_of_c(self.c)
         self.weight_spec()
@@ -69,7 +68,6 @@ class ExperimentPlan:
     replicates: int = 1
     estimator: str = "C_over_N2"
     seed: int = 0
-    output: str | None = None
 
     def __post_init__(self):
         if not self.sweep:  # else a run would write a header and no row
@@ -93,17 +91,10 @@ class ExperimentPlan:
             if not isinstance(p, dict):
                 raise ParameterError(f"a sweep point must be a JSON object, got {p!r}")
             reject_unknown_keys(p, _POINT_KEYS, "a sweep point")
-        if d.get("output") is not None and not isinstance(d["output"], str):
-            raise ParameterError(f"output must be a string, got {d['output']!r}")
         weights = d.get("weights")
         sweep = [SweepPoint(N=p.get("N"), c=_point_c(p), weights=p.get("weights", weights)) for p in points]
-        return cls(
-            sweep=sweep,
-            replicates=d.get("replicates", 1),
-            estimator=d.get("estimator", "C_over_N2"),
-            seed=d.get("seed", 0),
-            output=d.get("output"),
-        )
+        # only the keys present are passed: each default lives in the constructor
+        return cls(sweep, **{key: d[key] for key in ("replicates", "estimator", "seed") if key in d})
 
     @classmethod
     def load(cls, path) -> "ExperimentPlan":

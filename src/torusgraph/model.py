@@ -32,22 +32,22 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
-from .errors import ParameterError, integer, number, reject_unknown_keys
+from .errors import ParameterError, number, reject_unknown_keys
 from .geometry import TorusConfig, Vertex, ring_sizes, torus_distance
 
 LOG2X4 = 4.0 * math.log(2.0)
-MAX_NODES = 4096  # leggauss(n) eigen-solves a dense n x n matrix, about 5 s and 275 MB at 4000
+QUADRATURE_NODES = 400  # Gauss-Legendre nodes of a truncated exponential
 
 
 # ---------------------------------------------------------------------------
 # weight distributions
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=8)
-def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed
-    once per node count (an eigenvalue solve, about 20 ms at 400)."""
-    x, wq = np.polynomial.legendre.leggauss(n_nodes)
+    once per process (an eigenvalue solve, about 20 ms)."""
+    x, wq = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
     x.flags.writeable = wq.flags.writeable = False
     return x, wq
 
@@ -67,7 +67,7 @@ def _discrete_sampler(values: np.ndarray, probs: np.ndarray):
 _WEIGHT_KEYS = {
     "constant": {"kind", "value"},
     "discrete": {"kind", "values", "probs"},
-    "truncated_exponential": {"kind", "rate", "upper", "n_nodes"},
+    "truncated_exponential": {"kind", "rate", "upper"},
 }
 
 
@@ -122,8 +122,8 @@ class WeightSpec:
                    {"kind": "discrete", "values": values.tolist(), "probs": probs.tolist()})
 
     @classmethod
-    def truncated_exponential(cls, rate: float = 1.0, upper: float = 8.0, n_nodes: int = 400) -> "WeightSpec":
-        """Exponential(rate) conditioned on [0, upper], on n_nodes
+    def truncated_exponential(cls, rate: float = 1.0, upper: float = 8.0) -> "WeightSpec":
+        """Exponential(rate) conditioned on [0, upper], on QUADRATURE_NODES
         Gauss-Legendre nodes.  Its size-biased law, density proportional to
         y e^{-rate y} on [0, upper], is Gamma(2, 1/rate) given <= upper, and
         equally W1 + W2 given W1 + W2 <= upper for independent copies of W.
@@ -135,10 +135,8 @@ class WeightSpec:
         rate, upper = float(rate), float(upper)
         if not (rate > 0 and 0 < upper < math.inf):
             raise ValueError("rate must be positive, upper positive and finite")
-        if n_nodes > MAX_NODES:
-            raise ValueError(f"n_nodes must be <= {MAX_NODES}, got {n_nodes}")
-        Z = 1.0 - math.exp(-rate * upper)
-        x, wq = _gauss_legendre(int(n_nodes))
+        Z = -math.expm1(-rate * upper)  # 1 - e^{-rate upper}, without cancellation at small rate * upper
+        x, wq = _gauss_legendre()
         nodes = 0.5 * upper * x + 0.5 * upper
         qw = 0.5 * upper * wq * (rate * np.exp(-rate * nodes) / Z)
         total = qw.sum()
@@ -169,8 +167,7 @@ class WeightSpec:
 
         # dividing by total absorbs quadrature round-off
         return cls(nodes, qw / total, sampler, upper,
-                   {"kind": "truncated_exponential", "rate": rate, "upper": upper,
-                    "n_nodes": int(n_nodes)}, tilde_sampler)
+                   {"kind": "truncated_exponential", "rate": rate, "upper": upper}, tilde_sampler)
 
     # -- JSON form ---------------------------------------------------------
 
@@ -180,15 +177,13 @@ class WeightSpec:
         that is not an object, an unknown kind, a key outside the kind's
         keys, or a value of the wrong JSON type raises ParameterError."""
         if d is None:
-            return cls.constant(1.0)
+            return cls.constant()
         if not isinstance(d, dict):
             raise ParameterError(f"a weight law must be a JSON object, got {d!r}")
         kind = d.get("kind", "constant")
         if not isinstance(kind, str) or kind not in _WEIGHT_KEYS:
             raise ParameterError(f"unknown weight kind in config: {kind!r}")
         reject_unknown_keys(d, _WEIGHT_KEYS[kind], f"a {kind} weight law")
-        if kind == "constant":
-            return cls.constant(number(d.get("value", 1.0), "value"))
         if kind == "discrete":
             lists = []
             for key in ("values", "probs"):
@@ -196,10 +191,9 @@ class WeightSpec:
                     raise ParameterError(f"{key} must be a list of numbers, got {d.get(key)!r}")
                 lists.append([number(x, f"{key}[{i}]") for i, x in enumerate(d[key])])
             return cls.discrete(*lists)
-        return cls.truncated_exponential(
-            rate=number(d.get("rate", 1.0), "rate"), upper=number(d.get("upper", 8.0), "upper"),
-            n_nodes=integer(d.get("n_nodes", 400), "n_nodes", 1),
-        )
+        # only the keys present are passed: each default lives in its constructor
+        args = {key: number(x, key) for key, x in d.items() if key != "kind"}
+        return cls.constant(**args) if kind == "constant" else cls.truncated_exponential(**args)
 
     def to_dict(self) -> dict:
         """JSON form that `from_dict` turns back into the same law.
@@ -279,9 +273,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # c = 0 is allowed as the degenerate empty graph
-        if not 0 <= self.c < math.inf:
-            raise ValueError(f"edge-intensity c must be nonnegative and finite, got {self.c}")
+        lambda_of_c(self.c)  # c = 0 is allowed as the degenerate empty graph
         if self.seed < 0:  # numpy's seeding would raise only when the graph is sampled
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
 

@@ -114,7 +114,9 @@ def theorem3_constants(lam: float, w: WeightSpec):
         y = (1/(lambda M)) * E(W e^{s W}) / E(W^2 e^{s W}),  s = lambda M (y-1),
     then gamma = 1 / (lambda E(W^2 e^{s W})) > 1 and the C/log(N^2)
     limit is 1/log gamma.  With W == 1 this reduces algebraically to the
-    homogeneous constant 1/(lambda - 1 - log lambda).
+    homogeneous constant 1/(lambda - 1 - log lambda).  Within about 1e-8
+    of the threshold gamma may round to 1; the limit is then None, as no
+    finite constant is resolved.
     """
     crit = critical_parameter(lam, w)
     if crit >= 1.0:
@@ -140,9 +142,7 @@ def theorem3_constants(lam: float, w: WeightSpec):
     assert abs(residual(y)) < 1e-10
     s = lam * M * (y - 1.0)
     gamma = 1.0 / (lam * tilt_moments(w, s, 2))
-    if gamma <= 1.0:
-        raise RegimeError(f"gamma = {gamma} <= 1; regime assumption violated")
-    return y, gamma, 1.0 / math.log(gamma)
+    return y, gamma, (1.0 / math.log(gamma) if gamma > 1.0 else None)
 
 
 @dataclass

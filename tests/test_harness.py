@@ -64,7 +64,7 @@ class TestWeightsDict:
     @pytest.mark.parametrize("d", [
         {"kind": "constant", "value": 1.5},
         {"kind": "discrete", "values": [1.0, 2.0], "probs": [0.25, 0.75]},
-        {"kind": "truncated_exponential", "rate": 2.0, "upper": 6.0, "n_nodes": 300},
+        {"kind": "truncated_exponential", "rate": 2.0, "upper": 6.0},
     ])
     def test_roundtrip_every_kind(self, d):
         w = WeightSpec.from_dict(d)
@@ -77,7 +77,7 @@ class TestWeightsDict:
     def test_truncated_exponential_defaults_roundtrip(self):
         w = WeightSpec.from_dict({"kind": "truncated_exponential"})
         d = w.to_dict()
-        assert d == {"kind": "truncated_exponential", "rate": 1.0, "upper": 8.0, "n_nodes": 400}
+        assert d == {"kind": "truncated_exponential", "rate": 1.0, "upper": 8.0}
         assert WeightSpec.from_dict(d).to_dict() == d
 
     @pytest.mark.parametrize("d, key", [
@@ -484,7 +484,7 @@ class TestCLI:
         pytest.param(["simulate"], {"sweep": []}, "sweep must hold at least one point", id="plan-sweep-empty"),
         pytest.param(["simulate"], {"N": 10, "c": 0.5, "weights": "heavy"}, "weight law must be a JSON object",
                      id="plan-weights-string"),
-        pytest.param(["simulate"], {"N": 10, "c": 0.5, "output": 5}, "output must be a string", id="plan-output-5"),
+        pytest.param(["simulate"], {"N": 10, "c": 0.5, "output": 5}, "unknown key 'output'", id="plan-output-5"),
         pytest.param(["simulate"], {"N": 10, "c": 0.5, "replicates": True}, "replicates must be an integer",
                      id="plan-replicates-true"),
         pytest.param(["simulate"], {"N": 10, "c": 0.5, "weights": {"kind": "constant", "value": True}},
@@ -494,11 +494,9 @@ class TestCLI:
         pytest.param(["simulate"], {"N": 10, "c": 0.5, "weights": {"kind": "discrete", "values": ["1", "2"],
                                                                     "probs": [0.5, 0.5]}},
                      "values[0] must be a number", id="plan-values-strings"),
-        pytest.param(["simulate"], {"N": 10, "c": 0.5, "weights": {"kind": "truncated_exponential", "n_nodes": 400.7}},
-                     "n_nodes must be an integer", id="plan-n_nodes-fractional"),
         pytest.param(["simulate"], {"N": 10, "c": 0.5, "weights": {"kind": "truncated_exponential",
                                                                     "n_nodes": 100000}},
-                     "n_nodes must be <= 4096", id="plan-n_nodes-huge"),
+                     "unknown key 'n_nodes'", id="plan-n_nodes-huge"),
         pytest.param(["simulate"], [1, 2], "a plan must be a JSON object", id="plan-list"),
         pytest.param(["simulate"], {"sweep": [[6, 2]]}, "a sweep point must be a JSON object", id="plan-point-list"),
         pytest.param(["simulate", "--threads", "0"], {"N": 10, "c": 0.5}, "--threads must be >= 1", id="threads-0"),
@@ -506,6 +504,8 @@ class TestCLI:
                      id="threads-negative"),
         pytest.param(["theory", "--lambda", "1", "--seed", "3"], None, "unrecognized arguments",
                      id="theory-seed"),
+        pytest.param(["simulate", "--seed", "9"], {"N": 10, "c": 0.5}, "unrecognized arguments",
+                     id="simulate-seed"),
         pytest.param(["branching", "--out", "x"], None, "unrecognized arguments", id="branching-out"),
         pytest.param(["verify", "--seed", "1"], None, "unrecognized arguments", id="verify-seed"),
         pytest.param(["verify", "--out", "x"], None, "unrecognized arguments", id="verify-out"),
@@ -513,7 +513,7 @@ class TestCLI:
     def test_bad_input_exits_2(self, argv, plan, message, tmp_path, capsys, monkeypatch):
         # a bad value or an option the command does not read is a usage
         # error, reported before anything runs: no traceback, no output row,
-        # and no quadrature past the node bound
+        # and no quadrature of more than 4096 nodes
         leggauss = np.polynomial.legendre.leggauss
         monkeypatch.setattr(np.polynomial.legendre, "leggauss",
                             lambda n: leggauss(n) if n <= 4096 else pytest.fail(f"{n} nodes computed"))
@@ -530,7 +530,6 @@ class TestCLI:
 
     @pytest.mark.parametrize("argv, plan", [
         pytest.param(["simulate", "--out", "{missing}/r.csv"], {"N": 8, "c": 0.5}, id="simulate-out"),
-        pytest.param(["simulate"], {"N": 8, "c": 0.5, "output": "{missing}/r.csv"}, id="plan-output"),
         pytest.param(["theory", "--lambda", "1", "--out", "{missing}/r.json"], None, id="theory-out"),
         pytest.param(["export-graph", "--N", "8", "--lambda", "2", "--out-prefix", "{missing}/g"], None,
                      id="export-out-prefix"),
@@ -542,8 +541,7 @@ class TestCLI:
         argv = [a.format(missing=missing) for a in argv]
         if plan is not None:
             cfg = tmp_path / "plan.json"
-            cfg.write_text(json.dumps({k: v.format(missing=missing) if isinstance(v, str) else v
-                                       for k, v in plan.items()}))
+            cfg.write_text(json.dumps(plan))
             argv += ["--config", str(cfg)]
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)
@@ -597,13 +595,25 @@ class TestCLI:
         assert (tmp_path / "g.edges").read_text() == ""
         assert len((tmp_path / "g.weights").read_text().splitlines()) == 64
 
-    def test_simulate_seed_override(self, tmp_path, capsys):
-        plan = {"N": 8, "c": 0.5, "replicates": 2, "seed": 3}
-        cfg = tmp_path / "plan.json"
-        cfg.write_text(json.dumps(plan))
-        assert cli_main(["simulate", "--config", str(cfg), "--seed", "9"]) == 0
-        expected = run_experiment(ExperimentPlan.from_dict(dict(plan, seed=9))).to_csv()
-        assert capsys.readouterr().out == expected
+    @pytest.mark.parametrize("argv, plan", [
+        pytest.param(["theory", "--lambda", "0.999999999"], None, id="theory"),
+        pytest.param(["simulate"], {"N": 8, "lambda": 0.999999999, "estimator": "C_over_logN2", "replicates": 2},
+                     id="simulate"),
+    ])
+    def test_near_critical_subcritical_point_runs(self, argv, plan, tmp_path):
+        # 1 - lambda = 1e-9: gamma rounds to 1, so the report has no
+        # weighted constant and the point no target, as at the threshold
+        out = tmp_path / "r.out"
+        if plan is not None:
+            cfg = tmp_path / "plan.json"
+            cfg.write_text(json.dumps(plan))
+            argv = argv + ["--config", str(cfg)]
+        assert cli_main(argv + ["--out", str(out)]) == 0
+        text = out.read_text()
+        if plan is None:
+            assert json.loads(text)["sub_const_weighted"] is None
+        else:
+            assert text.splitlines()[-1].split(",")[13] == ""  # the summary row's target
 
 
 def test_import_leaves_scipy_stats_unloaded():

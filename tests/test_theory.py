@@ -211,6 +211,14 @@ class TestReport:
         assert wide.regime == "subcritical"
         assert wide.sub_const_weighted == pytest.approx(narrower.sub_const_weighted, abs=1e-9)
 
+    @pytest.mark.parametrize("w", [WeightSpec.constant(), W12], ids=["constant", "discrete12"])
+    def test_near_critical_subcritical_returns(self, w):
+        # lambda E(W^2) = 1 - 1e-9 is subcritical; gamma may round to 1,
+        # and then no weighted constant is attached, as at the threshold
+        r = build_report((1 - 1e-9) / w.second_moment, w)
+        assert r.regime == "subcritical"
+        assert r.sub_const_weighted is None or r.sub_const_weighted > 0
+
     def test_json_roundtrip(self):
         r = build_report(2.0, W12)
         payload = json.loads(r.to_json())
