@@ -1,9 +1,10 @@
 """Connected components: csgraph for measurement, exploration for fidelity.
 
-The measurement path labels components with
-``scipy.sparse.csgraph.connected_components`` on a CSR matrix over the
-vertices that have an edge, read straight from the sorted edge list;
-every other vertex is a singleton.  The exploration algorithm is the
+The measurement path hooks each vertex that has an edge to its smallest
+neighbour, jumps every pointer to the root of its hook tree, and labels
+the roots with ``scipy.sparse.csgraph.connected_components`` on a CSR
+matrix of the edges between roots; every vertex without an edge is a
+singleton.  The exploration algorithm is the
 active/saturated/neutral procedure whose stopping time T equals the
 component size; it exists to generate traces for branching-process
 comparisons and to cross-check the measurement path, not for
@@ -38,27 +39,55 @@ class ComponentSummary:
 def largest_component(g: Graph) -> ComponentSummary:
     """Exact component decomposition of the sampled graph.
 
-    The m vertices that have an edge get new ids 0..m-1 in index order.
-    As the relabelling keeps the order, `g.edges` sorted by (lo, hi) is
-    already the upper triangle of an m x m CSR matrix: row lo's entries
-    are its his, in order.  The components that have an edge, each of at
-    least 2 vertices, are sorted; the n - m singletons follow."""
+    The m vertices that have an edge get new ids 0..m-1 in index order,
+    and each edge stays (lo, hi) with lo < hi.  One round of
+    Shiloach-Vishkin hooking then shrinks what csgraph walks: every
+    vertex points at its smallest neighbour (itself if it has none
+    smaller), and pointer jumping sends it to the root of its hook tree,
+    about log2 of the longest hook chain rounds.  A hook tree lies in one
+    component, so csgraph labels only the cross edges, those between two
+    roots, and each vertex takes its root's label.  (Any map of each
+    vertex into its own component would label correctly; the jumping
+    only makes the cross-edge graph small.)  The components that
+    have an edge, each of at least 2 vertices, are sorted; the n - m
+    singletons follow."""
     n = g.n_vertices
     e = g.edges
     has_edge = np.zeros(n, dtype=bool)
     has_edge[e] = True
     new_id = np.cumsum(has_edge, dtype=np.int32) - 1
+    del has_edge
     m = int(new_id[-1]) + 1
     singletons = np.ones(n - m, dtype=np.int64)
     if m == 0:
         return ComponentSummary(singletons)
     lo, hi = new_id[e[:, 0]], new_id[e[:, 1]]
+    del new_id
+    parent = np.arange(m, dtype=np.int32)
+    np.minimum.at(parent, hi, lo)
+    # parent[v] <= v and roots are fixed points, so jumping ends; take,
+    # since indexing by an int32 array is slower
+    while True:
+        up = parent.take(parent)
+        if np.array_equal(up, parent):
+            break
+        parent = up
+    del up
+    lo, hi = parent.take(lo), parent.take(hi)
+    cross = (lo != hi).nonzero()[0]  # indexing by a mask is slower
+    lo, hi = lo[cross], hi[cross]
+    del cross
     indptr = np.zeros(m + 1, dtype=np.int32)
     np.cumsum(np.bincount(lo, minlength=m), out=indptr[1:])
+    hi = hi[lo.argsort()]
+    del lo
     # float64 data, as csgraph takes it, so its validation copies nothing
-    adj = csr_matrix((np.ones(lo.size), hi, indptr), shape=(m, m))
+    adj = csr_matrix((np.ones(hi.size), hi, indptr), shape=(m, m))
     _, labels = connected_components(adj, directed=False)
-    sizes = np.sort(np.bincount(labels))[::-1]
+    del adj
+    sizes = np.bincount(labels.take(parent))
+    del labels, parent
+    sizes = np.sort(sizes[sizes > 0])[::-1]
     return ComponentSummary(np.concatenate([sizes, singletons]))
 
 

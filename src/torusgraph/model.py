@@ -144,8 +144,12 @@ class WeightSpec:
             raise ValueError(f"density does not integrate to 1 on [0,{upper}]: {total}")
 
         def sampler(rng, n):
+            # in place, the same IEEE operations as -log1p(-u Z) / rate
             u = rng.random(n)
-            return -np.log1p(-u * Z) / rate
+            u *= -Z
+            np.log1p(u, out=u)
+            u /= -rate
+            return u
 
         def gamma2(rng, n):
             return rng.gamma(2.0, 1.0 / rate, n)
@@ -461,8 +465,11 @@ def _weight_layers(weights: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, 
     if low == B or low > B * 2 ** (-1 / LAYERS_PER_OCTAVE):
         return None, np.array([weights.size]), np.array([B])
     # B > 0; weights at most B / 2^MAX_LAYER, zero included, get ratio 2^MAX_LAYER
-    ratio = np.log2(B / np.maximum(weights, B / 2**MAX_LAYER))
-    layer = np.floor(LAYERS_PER_OCTAVE * ratio).astype(np.uint8)  # 0 to K MAX_LAYER = 48
+    ratio = np.maximum(weights, B / 2**MAX_LAYER)
+    np.divide(B, ratio, out=ratio)  # then log2, times K and floor, all in place
+    np.log2(ratio, out=ratio)
+    ratio *= LAYERS_PER_OCTAVE
+    layer = np.floor(ratio, out=ratio).astype(np.uint8)  # 0 to K MAX_LAYER = 48
     order = layer.argsort(kind="stable")
     sizes = np.bincount(layer)
     sizes = sizes[sizes > 0]

@@ -27,10 +27,18 @@ from .model import WeightSpec
 
 def subcritical_constant(lam: float) -> float:
     """Limit of C / log(N^2) in the homogeneous subcritical phase:
-    1 / (lambda - 1 - log lambda), positive on (0, 1)."""
+    1 / (lambda - 1 - log lambda), positive on (0, 1).  Near 1 that
+    difference cancels, so for d = 1 - lambda <= 0.1 it is summed as
+    d^2 (1/2 + d/3 + d^2/4 + ...), 30 terms by Horner's rule."""
     if not 0 < lam < 1:
         raise RegimeError(f"subcritical constant needs lambda in (0,1), got {lam}")
-    return 1.0 / (lam - 1.0 - math.log(lam))
+    d = 1.0 - lam  # exact for lambda >= 1/2
+    if d > 0.1:
+        return 1.0 / (lam - 1.0 - math.log(lam))
+    s = 0.0
+    for k in range(31, 1, -1):
+        s = s * d + 1.0 / k
+    return 1.0 / (d * d * s)
 
 
 def supercritical_beta(lam: float) -> float:

@@ -1,7 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusgraph.components import (
     component_decomposition,
@@ -17,10 +20,10 @@ def rng_for(seed):
 
 
 def make_graph(N, edge_list):
-    """Graph with unit weights whose edges are (min, max) pairs sorted
-    lexicographically, the order `Graph.edges` promises."""
+    """Graph with unit weights whose edges are distinct (min, max) pairs
+    sorted lexicographically, the order `Graph.edges` promises."""
     edges = (
-        np.array(sorted((min(a, b), max(a, b)) for a, b in edge_list), dtype=np.int64)
+        np.array(sorted({(min(a, b), max(a, b)) for a, b in edge_list}), dtype=np.int64)
         if edge_list
         else np.empty((0, 2), dtype=np.int64)
     )
@@ -78,12 +81,74 @@ class TestLargestComponent:
         expect = sorted((t.T for t in traces), reverse=True)
         assert largest_component(g).sizes.tolist() == expect
 
+    @pytest.mark.parametrize("N, lam, w, seed, digest", [
+        (200, 2.0, WeightSpec.constant(), 0,
+         "a265493c83fc47f01a010091faa6a6dbab599951eb6ea52e5817968df5fea037"),
+        (400, 0.3, WeightSpec.truncated_exponential(1.0, 8.0), 0,
+         "bdfd17c4e6e71247e53c766caec2e87a8bc4537f3ee139744dd814a5b31efd38"),
+        (150, 1.2, WeightSpec.discrete([1.0, 2.0], [0.5, 0.5]), 0,
+         "fd4bc79a7701c4bb48add5178b94b64a117f92922ab45453d8a9b2b9dabfac21"),
+    ], ids=["N200-2-constant", "N400-0.3-trunc_exp8", "N150-1.2-discrete12"])
+    def test_pinned_component_sizes(self, N, lam, w, seed, digest):
+        # the exact size vector, dtype included, of graphs large enough
+        # for long hook chains and many cross edges
+        g = sample_graph(ModelConfig(TorusConfig(N), c_of_lambda(lam), w, seed))
+        assert hashlib.sha256(largest_component(g).sizes.tobytes()).hexdigest() == digest
+
     def test_sizes_sum(self):
         g = sample_graph(ModelConfig(TorusConfig(12), 0.8, seed=3))
         cs = largest_component(g)
         assert cs.sizes.sum() == g.n_vertices
         assert cs.largest == cs.sizes.max()
         assert 1 <= cs.count <= g.n_vertices
+
+
+def oracle_sizes(g):
+    return sorted((t.T for t in component_decomposition(g, rng_for(0))), reverse=True)
+
+
+class TestHooking:
+    """Graphs on which hooking each vertex to its smallest neighbour and
+    jumping to the root could go wrong, against the exploration oracle."""
+
+    def test_path_in_index_order(self):
+        # every vertex hooks to the one before: a chain of n - 1 = 1599
+        # hooks, which pointer jumping halves 11 times before every
+        # vertex names vertex 0
+        N = 40
+        g = make_graph(N, [(i, i + 1) for i in range(N * N - 1)])
+        assert largest_component(g).sizes.tolist() == oracle_sizes(g) == [N * N]
+
+    def test_star_centred_on_largest_index(self):
+        # no leaf has a smaller neighbour, so every leaf is a root and only
+        # the edge to leaf 0 lies inside a hook tree
+        N = 6
+        n = N * N
+        g = make_graph(N, [(i, n - 1) for i in range(n - 1)])
+        assert largest_component(g).sizes.tolist() == oracle_sizes(g) == [n]
+
+    @pytest.mark.parametrize("N, length", [(3, 3), (5, 25), (6, 17)])
+    def test_cycle(self, N, length):
+        g = make_graph(N, [(i, (i + 1) % length) for i in range(length)])
+        expect = [length] + [1] * (N * N - length)
+        assert largest_component(g).sizes.tolist() == oracle_sizes(g) == expect
+
+    def test_interleaved_components(self):
+        # the even and the odd vertices form two paths, alternating in
+        # index order
+        N = 6
+        g = make_graph(N, [(i, i + 2) for i in range(N * N - 2)])
+        assert largest_component(g).sizes.tolist() == oracle_sizes(g) == [N * N // 2] * 2
+
+    @given(st.integers(2, 6).flatmap(lambda N: st.tuples(
+        st.just(N),
+        st.lists(st.tuples(st.integers(0, N * N - 1), st.integers(0, N * N - 1))
+                 .filter(lambda e: e[0] != e[1]), max_size=3 * N * N))))
+    @settings(max_examples=200, deadline=None)
+    def test_random_edge_lists(self, case):
+        N, edge_list = case
+        g = make_graph(N, edge_list)
+        assert largest_component(g).sizes.tolist() == oracle_sizes(g)
 
 
 class TestExploration:

@@ -34,6 +34,17 @@ class TestSubcriticalConstant:
     def test_divergence_near_one(self):
         assert subcritical_constant(1 - 1e-8) > 1e10
 
+    def test_full_precision_near_one(self):
+        # lambda - 1 - log lambda cancels as lambda -> 1; against 50 digits
+        # at each lambda's exact double value, every one keeps every digit
+        import mpmath
+
+        with mpmath.workdps(50):
+            for lam in [1 - 1e-9, 1 - 1e-6, 0.999, 0.99, 0.9]:
+                x = mpmath.mpf(lam)
+                exact = 1 / (x - 1 - mpmath.log(x))
+                assert abs(subcritical_constant(lam) / exact - 1) < 1e-15, lam
+
     @pytest.mark.parametrize("lam", [0.0, 1.0, 1.5, -0.2])
     def test_regime_error(self, lam):
         with pytest.raises(RegimeError):
