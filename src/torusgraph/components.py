@@ -1,10 +1,12 @@
-"""Connected components: csgraph for measurement, exploration for fidelity.
+"""Connected components: contraction for measurement, exploration for fidelity.
 
-The measurement path hooks each vertex that has an edge to its smallest
-neighbour, jumps every pointer to the root of its hook tree, and labels
-the roots with ``scipy.sparse.csgraph.connected_components`` on a CSR
-matrix of the edges between roots; every vertex without an edge is a
-singleton.  The exploration algorithm is the
+The measurement path contracts the graph in rounds: each vertex that
+has an edge hooks to its smallest neighbour, pointer jumping takes it to
+the root of its hook tree, and the roots, renumbered in order and
+carrying their trees' vertex counts, keep only the edges between two
+trees, until none is left (at most 2 ceil(log2 m) rounds for m vertices
+with an edge, 4 on a supercritical N=800 graph); every vertex without
+an edge is a singleton.  The exploration algorithm is the
 active/saturated/neutral procedure whose stopping time T equals the
 component size; it exists to generate traces for branching-process
 comparisons and to cross-check the measurement path, not for
@@ -17,8 +19,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .model import Graph
 
@@ -40,55 +40,60 @@ def largest_component(g: Graph) -> ComponentSummary:
     """Exact component decomposition of the sampled graph.
 
     The m vertices that have an edge get new ids 0..m-1 in index order,
-    and each edge stays (lo, hi) with lo < hi.  One round of
-    Shiloach-Vishkin hooking then shrinks what csgraph walks: every
-    vertex points at its smallest neighbour (itself if it has none
-    smaller), and pointer jumping sends it to the root of its hook tree,
-    about log2 of the longest hook chain rounds.  A hook tree lies in one
-    component, so csgraph labels only the cross edges, those between two
-    roots, and each vertex takes its root's label.  (Any map of each
-    vertex into its own component would label correctly; the jumping
-    only makes the cross-edge graph small.)  The components that
-    have an edge, each of at least 2 vertices, are sorted; the n - m
-    singletons follow."""
+    and each edge stays (lo, hi) with lo < hi.  Then one contraction
+    round repeats until no edge is left between two ids:
+    every id hooks to its smallest neighbour (itself if it has none
+    smaller), pointer jumping sends it to the root of its hook tree, the
+    roots are renumbered 0..r-1 in their order, each root carries the
+    vertex count of its tree, and each edge between two trees becomes
+    (min, max) of their new ids.  A hook tree lies in one component, so
+    once no such edge is left every id is a component of its carried
+    count.  At most 2 ceil(log2 m) rounds run: an id that has an edge at
+    the start of a round lies in a tree of at least two ids by the end
+    of the next round, since the tree that left it out has a smaller
+    root and renumbering keeps that order.  The components that have an
+    edge, each of at least 2 vertices, are sorted; the n - m singletons
+    follow."""
     n = g.n_vertices
-    e = g.edges
+    e = g.pairs
     has_edge = np.zeros(n, dtype=bool)
-    has_edge[e] = True
-    new_id = np.cumsum(has_edge, dtype=np.int32) - 1
+    has_edge[e.reshape(-1).astype(np.intp)] = True  # faster than indexing by int32 pairs
+    new_id = np.cumsum(has_edge, dtype=np.int32)
+    new_id -= 1
     del has_edge
     m = int(new_id[-1]) + 1
     singletons = np.ones(n - m, dtype=np.int64)
     if m == 0:
         return ComponentSummary(singletons)
-    lo, hi = new_id[e[:, 0]], new_id[e[:, 1]]
+    lo, hi = new_id.take(e[:, 0]), new_id.take(e[:, 1])
     del new_id
-    parent = np.arange(m, dtype=np.int32)
-    np.minimum.at(parent, hi, lo)
-    # parent[v] <= v and roots are fixed points, so jumping ends; take,
-    # since indexing by an int32 array is slower
-    while True:
-        up = parent.take(parent)
-        if np.array_equal(up, parent):
-            break
-        parent = up
-    del up
-    lo, hi = parent.take(lo), parent.take(hi)
-    cross = (lo != hi).nonzero()[0]  # indexing by a mask is slower
-    lo, hi = lo[cross], hi[cross]
-    del cross
-    indptr = np.zeros(m + 1, dtype=np.int32)
-    np.cumsum(np.bincount(lo, minlength=m), out=indptr[1:])
-    hi = hi[lo.argsort()]
-    del lo
-    # float64 data, as csgraph takes it, so its validation copies nothing
-    adj = csr_matrix((np.ones(hi.size), hi, indptr), shape=(m, m))
-    _, labels = connected_components(adj, directed=False)
-    del adj
-    sizes = np.bincount(labels.take(parent))
-    del labels, parent
-    sizes = np.sort(sizes[sizes > 0])[::-1]
-    return ComponentSummary(np.concatenate([sizes, singletons]))
+    r, count = m, None  # r ids and their vertex counts; None: 1 each, before the first round
+    while lo.size:
+        parent = np.arange(r, dtype=np.int32)
+        np.minimum.at(parent, hi, lo)
+        # parent[v] <= v and roots are fixed points, so jumping ends; take,
+        # since indexing by an int32 array is slower
+        while True:
+            up = parent.take(parent)
+            if np.array_equal(up, parent):
+                break
+            parent = up
+        del up
+        label = np.cumsum(parent == np.arange(r, dtype=np.int32), dtype=np.int32)
+        label -= 1
+        r = int(label[-1]) + 1
+        label = label.take(parent)
+        del parent
+        # float64 sums of vertex counts below 2^53 are exact
+        count = np.bincount(label, count).astype(np.int64, copy=False)
+        lo, hi = label.take(lo), label.take(hi)
+        del label
+        cross = (lo != hi).nonzero()[0]  # indexing by a mask is slower
+        lo, hi = lo.take(cross), hi.take(cross)
+        del cross
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    count.sort()
+    return ComponentSummary(np.concatenate([count[::-1], singletons]))
 
 
 @dataclass

@@ -327,15 +327,20 @@ def mean_degree(c: float, cfg: TorusConfig) -> float:
 class Graph:
     """Sampled graph on the N^2 torus vertices.
 
-    Vertices are indexed 0..N^2-1 row-major over coordinates; `edges`
-    holds each undirected edge once as (min, max), lexicographically
-    sorted.  The CSR adjacency is built lazily, once, and cached, so do
-    not mutate the graph once `adjacency` has been read.
+    Vertices are indexed 0..N^2-1 row-major over coordinates.  `pairs`
+    holds each undirected edge once as a (lo, hi) row with lo < hi, in
+    the order the sampler drew it: int32 rows from `sample_graph` while
+    N^2 < 2^31.  `edges` is the same edges as int64 (min, max) rows,
+    lexicographically sorted once, on first read, and cached; the
+    readers that need no order (`edge_count`, `largest_component`) read
+    `pairs` and never sort.  The CSR adjacency is built lazily, once,
+    and cached, so do not mutate the graph once `edges` or `adjacency`
+    has been read.
     """
 
     N: int
     weights: np.ndarray
-    edges: np.ndarray
+    pairs: np.ndarray
     proposals: int = 0  # distinct slots sample_graph proposed (phantom, non-owner too); pairs the reference tried
     full: bool = False  # whether sample_graph proposed it in the full view of SlotTable
 
@@ -345,7 +350,21 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.pairs)
+
+    @functools.cached_property
+    def edges(self) -> np.ndarray:
+        """The edges as an int64 (E, 2) array of (min, max) rows,
+        lexicographically sorted."""
+        n = self.n_vertices
+        # sorting lo*n + hi (< n^2, fits int64) is lexicographic order on (lo, hi) as hi < n
+        key = self.pairs[:, 0].astype(np.int64)
+        key *= n
+        key += self.pairs[:, 1]
+        key.sort()
+        e = np.empty((key.size, 2), dtype=np.int64)
+        np.divmod(key, n, out=(e[:, 0], e[:, 1]))
+        return e
 
     @functools.cached_property
     def adjacency(self) -> csr_matrix:
@@ -360,7 +379,7 @@ class Graph:
 
     def export_edges(self, file) -> None:
         """Edge list to a path or an open file, one line per edge: 'u1 u2 v1 v2'."""
-        e = self.edges.astype(np.int64)
+        e = self.edges
         np.savetxt(file, np.stack([e // self.N, e % self.N], axis=2).reshape(-1, 4) + 1, fmt="%d")
 
     def export_weights(self, file) -> None:
@@ -542,10 +561,11 @@ def sample_graph(m: ModelConfig) -> Graph:
     layers, 3.2 ms to decode the proposed slots from per-group tables
     (n_a, layer base, the ring's first offset), 1.2 ms for the endpoint
     weights and ownership and 1.4 ms for thinning.  At N=800, lambda=2
-    with constant weights (half view) a graph takes 0.05-0.08 s with a
-    34 MB allocation peak.
-    `Graph.proposals` records the number of distinct slots proposed and
-    `Graph.full` the view.
+    with constant weights (half view) a graph takes about 41 ms (median
+    of 12) with a 15 MB allocation peak (tracemalloc); its 640k edges
+    stay in the order drawn, as `Graph.pairs`, until `Graph.edges` is
+    read.  `Graph.proposals` records the number of distinct slots
+    proposed and `Graph.full` the view.
     """
     cfg = m.torus
     N, n = cfg.N, cfg.n_vertices
@@ -578,7 +598,8 @@ def sample_graph(m: ModelConfig) -> Graph:
     if counts.sum() > CHUNK:
         before = np.cumsum(counts[nz]) - counts[nz]
         chunks = np.split(nz, np.diff(before // CHUNK).nonzero()[0] + 1)
-    keys: list[np.ndarray] = []  # the kept edges as lo * n + hi
+    pairs: list[np.ndarray] = []  # the kept edges as (lo, hi) rows, in the order drawn
+    pair_type = np.int32 if n < 2**31 else np.int64
     for g in chunks:
         gi = np.repeat(g, counts[g])
         if every[g].any():  # a full group takes each of its slots once, the others draw theirs
@@ -588,9 +609,10 @@ def sample_graph(m: ModelConfig) -> Graph:
         else:
             rel = rng.integers(0, size[gi])
         key = np.sort(start[gi] + rel)  # the groups' key ranges ascend with g, so gi stays aligned
-        rep = np.flatnonzero(key[1:] == key[:-1])  # a slot hit more than once is proposed once
-        if rep.size:
-            key, gi = np.delete(key, rep), np.delete(gi, rep)
+        dup = key[1:] == key[:-1]  # a slot hit more than once is proposed once
+        if dup.any():
+            new = np.concatenate(([True], ~dup))
+            key, gi = key[new], gi[new]
         proposals += key.size
         if order is None:  # one layer: the keys are slot keys o * n + u
             o, u, v = slots.decode(key)
@@ -609,12 +631,13 @@ def sample_graph(m: ModelConfig) -> Graph:
         else:
             keep = slots.owns(o, u, v)
         k = np.flatnonzero(keep)
-        u, v = u[k], v[k]
-        keys.append(np.minimum(u, v) * n + np.maximum(u, v))
+        u, v = u.take(k), v.take(k)
+        p = np.empty((k.size, 2), dtype=pair_type)
+        np.minimum(u, v, out=p[:, 0])
+        np.maximum(u, v, out=p[:, 1])
+        pairs.append(p)
 
-    # sorting lo*n + hi (< n^2, fits int64) is lexicographic order on (lo, hi) as hi < n
-    key = np.sort(np.concatenate(keys))
-    return Graph(N, weights, np.stack(np.divmod(key, n), axis=1), proposals, full)
+    return Graph(N, weights, pairs[0] if len(pairs) == 1 else np.concatenate(pairs), proposals, full)
 
 
 def sample_graph_reference(m: ModelConfig) -> Graph:

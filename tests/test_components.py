@@ -21,7 +21,7 @@ def rng_for(seed):
 
 def make_graph(N, edge_list):
     """Graph with unit weights whose edges are distinct (min, max) pairs
-    sorted lexicographically, the order `Graph.edges` promises."""
+    sorted lexicographically."""
     edges = (
         np.array(sorted({(min(a, b), max(a, b)) for a, b in edge_list}), dtype=np.int64)
         if edge_list
@@ -139,6 +139,49 @@ class TestHooking:
         N = 6
         g = make_graph(N, [(i, i + 2) for i in range(N * N - 2)])
         assert largest_component(g).sizes.tolist() == oracle_sizes(g) == [N * N // 2] * 2
+
+    def test_recursive_zigzag_path(self):
+        # a Hamiltonian path on all 2^10 vertices whose labels, read along
+        # the path, are zigzag(10): the even positions carry zigzag(9) and
+        # the odd ones the larger labels.  Each odd vertex hooks to a
+        # smaller even neighbour, the even vertices are the roots, and
+        # renumbering them keeps their order, so one contraction round
+        # leaves the path zigzag(9): 10 rounds in all
+        def zigzag(k):
+            if k == 0:
+                return [0]
+            path = [0] * 2 ** k
+            path[0::2] = zigzag(k - 1)
+            path[1::2] = range(2 ** (k - 1), 2 ** k)
+            return path
+
+        N = 32
+        path = zigzag(10)
+        assert sorted(path) == list(range(N * N))
+        g = make_graph(N, list(zip(path, path[1:])))
+        assert largest_component(g).sizes.tolist() == oracle_sizes(g) == [N * N]
+
+    def test_dense_graph_with_repeated_cross_edges(self):
+        # three dense clusters on a shuffled vertex set: 106 of the 191
+        # edges join two hook trees, over only 21 pairs of roots
+        N = 8
+        rng = rng_for(5)
+        cluster = rng.integers(0, 3, N * N)
+        a, b = np.triu_indices(N * N, 1)
+        edge = (cluster[a] == cluster[b]) & (rng.random(a.size) < 0.3)
+        g = make_graph(N, list(zip(a[edge].tolist(), b[edge].tolist())))
+        assert g.edge_count == 191
+        assert largest_component(g).sizes.tolist() == oracle_sizes(g)
+
+    def test_row_order_of_the_pairs(self):
+        # the same (lo, hi) pairs in index order and shuffled: equal sorted
+        # edges and equal sizes
+        g = sample_graph(ModelConfig(TorusConfig(24), c_of_lambda(1.5), seed=4))
+        pairs = g.edges.copy()
+        shuffled = Graph(g.N, g.weights, pairs[rng_for(1).permutation(len(pairs))])
+        assert np.array_equal(shuffled.edges, g.edges)
+        assert np.array_equal(largest_component(shuffled).sizes, largest_component(g).sizes)
+        assert largest_component(g).sizes.tolist() == oracle_sizes(g)
 
     @given(st.integers(2, 6).flatmap(lambda N: st.tuples(
         st.just(N),

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from torusgraph.components import largest_component
 from torusgraph.errors import ParameterError
 from torusgraph.geometry import TorusConfig, kernel, ring_sizes, torus_distance
 from torusgraph.model import (
@@ -298,6 +299,21 @@ class TestSampleGraph:
         assert np.all(g.edges[:, 0] < g.edges[:, 1])
         key = g.edges[:, 0] * g.n_vertices + g.edges[:, 1]
         assert np.all(np.diff(key) > 0)
+
+    def test_counting_and_labelling_leave_the_edges_unsorted(self):
+        g = sample_graph(ModelConfig(TorusConfig(30), 0.8, seed=2))
+        largest_component(g)
+        assert g.edge_count > 0
+        assert "edges" not in vars(g)
+
+    @pytest.mark.parametrize("sampler", [sample_graph, sample_graph_reference])
+    def test_edges_int64_contiguous_sorted(self, sampler):
+        g = sampler(ModelConfig(TorusConfig(12), 1.0, WeightSpec.discrete([0.5, 2.0], [0.5, 0.5]), seed=3))
+        e = g.edges
+        assert e.dtype == np.int64 and e.flags.c_contiguous and e.shape == (g.edge_count, 2)
+        assert g.edge_count > 0
+        assert np.all(e[:, 0] < e[:, 1])
+        assert np.all(np.diff(e[:, 0] * g.n_vertices + e[:, 1]) > 0)
 
     def test_adjacency_sorted_and_symmetric(self):
         g = sample_graph(ModelConfig(TorusConfig(16), 1.5, seed=9))
