@@ -8,9 +8,10 @@ trees, until none is left (at most 2 ceil(log2 m) rounds for m vertices
 with an edge, 4 on a supercritical N=800 graph); every vertex without
 an edge is a singleton.  The exploration algorithm is the
 active/saturated/neutral procedure whose stopping time T equals the
-component size; it exists to generate traces for branching-process
-comparisons and to cross-check the measurement path, not for
-throughput.
+component size.  It is the oracle that the tests check the measurement
+path's component sizes against, and its traces are where the tests
+check the recursion S_i = X_1 + ... + X_i - (i - 1); it is not built
+for throughput.
 """
 
 from __future__ import annotations

@@ -36,9 +36,10 @@ weights_from_dict = WeightSpec.from_dict
 # plan
 # ---------------------------------------------------------------------------
 
-# the keys a plan and a sweep point may carry, see ExperimentPlan.from_dict
+# the keys a sweep point may carry, and ExperimentPlan's own; a plan's
+# top-level weights are its points' default, see ExperimentPlan.from_dict
 _POINT_KEYS = {"N", "c", "lambda", "weights"}
-_PLAN_KEYS = {"weights", "replicates", "estimator", "seed"}
+_PLAN_KEYS = {"replicates", "estimator", "seed"}
 
 
 @dataclass
@@ -83,8 +84,8 @@ class ExperimentPlan:
         point's keys at top level.  An unknown key raises ParameterError."""
         if not isinstance(d, dict):
             raise ParameterError(f"a plan must be a JSON object, got {d!r}")
-        reject_unknown_keys(d, _PLAN_KEYS | ({"sweep"} if "sweep" in d else _POINT_KEYS), "a plan")
-        points = d["sweep"] if "sweep" in d else [{k: d[k] for k in ("N", "c", "lambda") if k in d}]
+        reject_unknown_keys(d, _PLAN_KEYS | ({"sweep", "weights"} if "sweep" in d else _POINT_KEYS), "a plan")
+        points = d["sweep"] if "sweep" in d else [{k: d[k] for k in _POINT_KEYS if k in d}]
         if not isinstance(points, list):
             raise ParameterError(f"sweep must be a list, got {points!r}")
         for p in points:
@@ -94,7 +95,7 @@ class ExperimentPlan:
         weights = d.get("weights")
         sweep = [SweepPoint(N=p.get("N"), c=_point_c(p), weights=p.get("weights", weights)) for p in points]
         # only the keys present are passed: each default lives in the constructor
-        return cls(sweep, **{key: d[key] for key in ("replicates", "estimator", "seed") if key in d})
+        return cls(sweep, **{key: d[key] for key in _PLAN_KEYS if key in d})
 
     @classmethod
     def load(cls, path) -> "ExperimentPlan":
@@ -118,11 +119,18 @@ def replicate_seed(root: int, point_index: int, rep: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _replicate_task(args) -> tuple[int, int, int]:
+def _replicate_task(args) -> dict:
+    """One replicate's row; each key is a column of CSV_COLUMNS."""
     N, c, weights_dict, seed = args
     m = ModelConfig(TorusConfig(N), c, WeightSpec.from_dict(weights_dict), seed)
     g = sample_graph(m)
-    return largest_component(g).largest, g.edge_count, seed
+    return {"seed": seed, "C": largest_component(g).largest, "edges": g.edge_count}
+
+
+# the CSV header: a replicate row fills N..value, a summary row N..estimator
+# and mean..warnings, and a column a row does not carry is left blank
+CSV_COLUMNS = ("row", "N", "c", "lambda", "estimator", "replicate", "seed", "C", "edges", "value",
+               "mean", "std", "stderr", "target", "z", "warnings")
 
 
 @dataclass
@@ -136,6 +144,11 @@ class PointResult:
     z: float | None
     warnings: list[str]
 
+    def summary(self) -> dict:
+        """The summary fields by name, in report order."""
+        return {"mean": self.mean, "std": self.std, "stderr": self.stderr,
+                "target": self.target, "z": self.z, "warnings": self.warnings}
+
 
 @dataclass
 class ExperimentResult:
@@ -143,27 +156,16 @@ class ExperimentResult:
     points: list[PointResult]
 
     def to_csv(self) -> str:
+        """One row per replicate and one summary row per point.  csv writes
+        a number with str, Python's shortest round-trip form, and None
+        as a blank cell; a row key outside CSV_COLUMNS raises."""
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["row", "N", "c", "lambda", "estimator", "replicate", "seed",
-             "C", "edges", "value", "mean", "std", "stderr", "target", "z", "warnings"]
-        )
+        writer = csv.DictWriter(buf, CSV_COLUMNS, lineterminator="\n")
+        writer.writeheader()
         for pr in self.points:
-            p = pr.point
-            for row in pr.replicate_rows:
-                writer.writerow(
-                    ["replicate", p.N, repr(p.c), repr(p.lam), self.plan.estimator,
-                     row["replicate"], row["seed"], row["C"], row["edges"],
-                     repr(row["value"]), "", "", "", "", "", ""]
-                )
-            writer.writerow(
-                ["summary", p.N, repr(p.c), repr(p.lam), self.plan.estimator, "", "", "", "",
-                 "", repr(pr.mean), repr(pr.std), repr(pr.stderr),
-                 "" if pr.target is None else repr(pr.target),
-                 "" if pr.z is None else repr(pr.z),
-                 ";".join(pr.warnings)]
-            )
+            point = {"N": pr.point.N, "c": pr.point.c, "lambda": pr.point.lam, "estimator": self.plan.estimator}
+            writer.writerows({"row": "replicate", **point, **row} for row in pr.replicate_rows)
+            writer.writerow({"row": "summary", **point, **pr.summary(), "warnings": ";".join(pr.warnings)})
         return buf.getvalue()
 
     def to_json(self) -> str:
@@ -171,19 +173,8 @@ class ExperimentResult:
             "estimator": self.plan.estimator,
             "seed": self.plan.seed,
             "points": [
-                {
-                    "N": pr.point.N,
-                    "c": pr.point.c,
-                    "lambda": pr.point.lam,
-                    "weights": pr.point.weights,
-                    "replicates": pr.replicate_rows,
-                    "mean": pr.mean,
-                    "std": pr.std,
-                    "stderr": pr.stderr,
-                    "target": pr.target,
-                    "z": pr.z,
-                    "warnings": pr.warnings,
-                }
+                {"N": pr.point.N, "c": pr.point.c, "lambda": pr.point.lam, "weights": pr.point.weights,
+                 "replicates": pr.replicate_rows, **pr.summary()}
                 for pr in self.points
             ],
         }, indent=2)
@@ -231,9 +222,8 @@ def _run_point(plan: ExperimentPlan, pi: int, p: SweepPoint, run) -> PointResult
         for rep in range(plan.replicates)
     ]
     rows = [
-        {"replicate": rep, "seed": seed, "C": C, "edges": edges,
-         "value": estimator_value(plan.estimator, C, p.N)}
-        for rep, (C, edges, seed) in enumerate(run(_replicate_task, tasks))
+        {"replicate": rep, **row, "value": estimator_value(plan.estimator, row["C"], p.N)}
+        for rep, row in enumerate(run(_replicate_task, tasks))
     ]
     values = np.array([r["value"] for r in rows])
     mean = float(values.mean())

@@ -1,4 +1,7 @@
 import contextlib
+import csv
+import hashlib
+import io
 import json
 import math
 import os
@@ -247,6 +250,56 @@ class TestRunExperiment:
         payload = json.loads(run_experiment(small_plan(replicates=1)).to_json())
         assert len(payload["points"]) == 2
         assert payload["points"][0]["replicates"][0]["C"] >= 1
+
+
+class TestReports:
+    @pytest.mark.parametrize("plan,csv_sha,json_sha", [
+        ({"sweep": [{"N": 10, "lambda": 2.0}, {"N": 12, "c": 0.3}], "replicates": 3,
+          "estimator": "C_over_N2", "seed": 42},
+         "91e532f56f3715abd51ad186833613be97c9b4ee339ef7d2baee7a001679b519",
+         "5af566e86bbc715d5431ab55eff38ccb2286f38f690e6e7d469c4d6a37302db2"),
+        ({"N": 20, "lambda": 0.3, "weights": {"kind": "truncated_exponential", "rate": 1, "upper": 8},
+          "replicates": 4, "estimator": "C_over_logN2", "seed": 7},
+         "7d9f031f089408e88bbf34e0beff2bf7ef9e235b91a1b8f97e95bc182f6382eb",
+         "8b975e1ca580576ac56fdee21a57719cb8df2d12a7bf78694089fc537dda6573"),
+        # gamma rounds to 1: no target and no z
+        ({"N": 8, "lambda": 0.999999999, "estimator": "C_over_logN2", "replicates": 2},
+         "9d130cd677b04875b51978a8aa6a3feb0591df58e2d5a9f49164702680377870",
+         "9b8129ce68687d1a4235224ea47af6b6b200719b0534e4553b25054438e0e3f3"),
+        ({"N": 3, "c": 5.0, "replicates": 1},
+         "84266e2c45a670b27961cf03073223a6f2d801fcdadf400749c7a96d3d15ab7c",
+         "3809684d1f1f6de1fc948d9ccd3e76a24854f74624e8d5d837b66a1562866eab"),
+        ({"sweep": [{"N": 6, "lambda": 0}, {"N": 9, "lambda": 1.0,
+                    "weights": {"kind": "discrete", "values": [1, 2], "probs": [0.5, 0.5]}}], "replicates": 3},
+         "92cfb868f783fe4540c2abe2f2384d12cd7bdd9096baac70c25ba1165737068a",
+         "23c02f60d99c3c94e9f3197a9eb14534a26a94688fe7b460186bb0ae8ea878b4"),
+    ], ids=["small-plan", "truncexp-log", "no-target", "capped-warning", "empty-and-critical"])
+    def test_pinned_report_digests(self, plan, csv_sha, json_sha):
+        # the sha256 of both reports, text and all: any change to a
+        # column, a key, a cell's number format or a blank shows here
+        res = run_experiment(ExperimentPlan.from_dict(plan))
+        assert hashlib.sha256(res.to_csv().encode()).hexdigest() == csv_sha
+        assert hashlib.sha256(res.to_json().encode()).hexdigest() == json_sha
+
+    def test_header_is_csv_columns(self):
+        header = run_experiment(small_plan(replicates=1)).to_csv().splitlines()[0]
+        assert header == ",".join(harness.CSV_COLUMNS)
+
+    def test_numpy_float_point_writes_plain_numbers(self):
+        # a sweep built with np.linspace hands each point a np.float64
+        res = run_experiment(ExperimentPlan([SweepPoint(N=6, c=np.float64(0.3))], replicates=2))
+        rows = list(csv.DictReader(io.StringIO(res.to_csv())))
+        assert len(rows) == 3
+        assert all((r["c"], r["lambda"]) == ("0.3", "0.8317766166719344") for r in rows)
+        point = json.loads(res.to_json())["points"][0]
+        assert (point["c"], point["lambda"]) == (0.3, 0.8317766166719344)
+
+    def test_row_key_outside_csv_columns_raises(self, monkeypatch):
+        # a row field missing from the column list fails, not dropped
+        res = run_experiment(small_plan(replicates=1))
+        monkeypatch.setattr(harness, "CSV_COLUMNS", tuple(k for k in harness.CSV_COLUMNS if k != "edges"))
+        with pytest.raises(ValueError, match="edges"):
+            res.to_csv()
 
 
 class TestTheoryCommand:
