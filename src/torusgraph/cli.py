@@ -119,7 +119,7 @@ def main(argv=None) -> int:
         if args.command == "export-graph":
             edges, weights = (files.enter_context(open(args.out_prefix + ext, "w"))
                               for ext in (".edges", ".weights"))
-    except (OSError, ValueError) as exc:  # a file that cannot be read or written, ParameterError, a law's range check
+    except (OSError, ValueError) as exc:  # a file that cannot be read or written, malformed JSON, ParameterError
         files.close()
         ap.error(str(exc))
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ParameterError
+
 Vertex = tuple[int, int]
 ContinuousPoint = tuple[float, float]
 
@@ -25,7 +27,7 @@ class TorusConfig:
 
     def __init__(self, N: int):
         if N <= 1:
-            raise ValueError(f"side length must be > 1, got {N}")
+            raise ParameterError(f"side length must be > 1, got {N}")
         self.N = int(N)
         i = np.arange(self.N)
         # folded distance d_N(i) of a single-coordinate offset i; for even

@@ -23,10 +23,15 @@ from .components import largest_component
 from .errors import ParameterError, integer, number, reject_unknown_keys
 from .geometry import TorusConfig
 from .model import ModelConfig, WeightSpec, c_of_lambda, lambda_N, lambda_of_c, ring_scale, sample_graph
-from .theory import TheoryReport, build_report
+from .theory import build_report
 from .branching import EXCEEDED, binomial_poisson_tv, borel_tail, progeny_batch, simulate_B1
 
-ESTIMATORS = ("C_over_N2", "C_over_logN2")
+# each estimator: its value from (C, N), and the regime and TheoryReport
+# field of its limit target; a point in another regime has no target
+ESTIMATORS = {
+    "C_over_N2": (lambda C, N: C / N**2, "supercritical", "beta_hat"),
+    "C_over_logN2": (lambda C, N: C / math.log(N * N), "subcritical", "sub_const_weighted"),
+}
 
 # the JSON form is owned by WeightSpec; bench/workloads.py is this alias's only caller
 weights_from_dict = WeightSpec.from_dict
@@ -76,7 +81,7 @@ class ExperimentPlan:
         self.replicates = integer(self.replicates, "replicates", 1)
         self.seed = integer(self.seed, "seed", 0)
         if self.estimator not in ESTIMATORS:
-            raise ValueError(f"estimator must be one of {ESTIMATORS}")
+            raise ParameterError(f"estimator must be one of {tuple(ESTIMATORS)}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentPlan":
@@ -105,7 +110,7 @@ class ExperimentPlan:
 
 def _point_c(p: dict) -> float:
     if ("c" in p) == ("lambda" in p):
-        raise ValueError("give exactly one of 'c' or 'lambda' per sweep point")
+        raise ParameterError("give exactly one of 'c' or 'lambda' per sweep point")
     return number(p["c"], "c") if "c" in p else c_of_lambda(number(p["lambda"], "lambda"))
 
 
@@ -119,11 +124,9 @@ def replicate_seed(root: int, point_index: int, rep: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _replicate_task(args) -> dict:
+def _replicate_task(point: SweepPoint, seed: int) -> dict:
     """One replicate's row; each key is a column of CSV_COLUMNS."""
-    N, c, weights_dict, seed = args
-    m = ModelConfig(TorusConfig(N), c, WeightSpec.from_dict(weights_dict), seed)
-    g = sample_graph(m)
+    g = sample_graph(ModelConfig(TorusConfig(point.N), point.c, point.weight_spec(), seed))
     return {"seed": seed, "C": largest_component(g).largest, "edges": g.edge_count}
 
 
@@ -180,20 +183,6 @@ class ExperimentResult:
         }, indent=2)
 
 
-def estimator_value(estimator: str, C: int, N: int) -> float:
-    if estimator == "C_over_N2":
-        return C / N**2
-    return C / math.log(N * N)
-
-
-def theory_target(estimator: str, report: TheoryReport) -> float | None:
-    if estimator == "C_over_N2" and report.regime == "supercritical":
-        return report.beta_hat
-    if estimator == "C_over_logN2" and report.regime == "subcritical":
-        return report.sub_const_weighted
-    return None
-
-
 def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
     """Run every sweep point; deterministic given the plan and root seed.
 
@@ -217,19 +206,17 @@ def _run_point(plan: ExperimentPlan, pi: int, p: SweepPoint, run) -> PointResult
     warnings: list[str] = []
     if ring_scale(p.c, p.N)[0] * spec.support_bound**2 >= 1:
         warnings.append("edge probability capped at distance 1; theory assumes p_r < 1")
-    tasks = [
-        (p.N, p.c, p.weights, replicate_seed(plan.seed, pi, rep))
-        for rep in range(plan.replicates)
-    ]
+    value, regime, field = ESTIMATORS[plan.estimator]
+    seeds = [replicate_seed(plan.seed, pi, rep) for rep in range(plan.replicates)]
     rows = [
-        {"replicate": rep, **row, "value": estimator_value(plan.estimator, row["C"], p.N)}
-        for rep, row in enumerate(run(_replicate_task, tasks))
+        {"replicate": rep, **row, "value": value(row["C"], p.N)}
+        for rep, row in enumerate(run(_replicate_task, [p] * plan.replicates, seeds))
     ]
     values = np.array([r["value"] for r in rows])
     mean = float(values.mean())
     std = float(values.std(ddof=1)) if len(values) > 1 else 0.0
-    se = std / math.sqrt(len(values)) if len(values) > 1 else 0.0
-    target = theory_target(plan.estimator, report)
+    se = std / math.sqrt(len(values))
+    target = getattr(report, field) if report.regime == regime else None
     z = (mean - target) / se if (target is not None and se > 0) else None
     return PointResult(p, rows, mean, std, se, target, z, warnings)
 

@@ -91,12 +91,12 @@ class WeightSpec:
         self._tilde_sampler = tilde_sampler  # the same for W's size-biased law, see size_biased
         self.support_bound = support_bound
         self._params = params  # JSON form of the constructor call, see to_dict
-        if not support_bound * support_bound < math.inf:  # then no atom's square overflows
+        if not support_bound * support_bound < math.inf:  # then no live atom's square overflows
             raise ParameterError(f"E W^2 must be finite, but weights reach {support_bound:g}")
         live = masses > 0  # expectation skips massless atoms, where fn may overflow
         self._live = (atoms, masses) if live.all() else (atoms[live], masses[live])
-        self.mean = float(atoms @ masses)
-        self.second_moment = float((atoms**2) @ masses)
+        self.mean = self.expectation(lambda x: x)
+        self.second_moment = self.expectation(lambda x: x**2)
 
     # -- constructors ------------------------------------------------------
 
@@ -104,7 +104,7 @@ class WeightSpec:
     def constant(cls, value: float = 1.0) -> "WeightSpec":
         w = float(value)
         if not 0 <= w < math.inf:
-            raise ValueError(f"weight must be nonnegative and finite, got {w}")
+            raise ParameterError(f"weight must be nonnegative and finite, got {w}")
         return cls(np.array([w]), np.array([1.0]), lambda rng, n: np.full(n, w),
                    w, {"kind": "constant", "value": w})
 
@@ -113,12 +113,13 @@ class WeightSpec:
         values = np.array(values, dtype=float)
         probs = np.array(probs, dtype=float)
         if values.shape != probs.shape or values.ndim != 1:
-            raise ValueError("values and probs must be 1-D arrays of equal length")
+            raise ParameterError("values and probs must be 1-D arrays of equal length")
         if not np.all((values >= 0) & (values < math.inf)):
-            raise ValueError("weights must be nonnegative and finite")
+            raise ParameterError("weights must be nonnegative and finite")
         if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-12):
-            raise ValueError("probabilities must be nonnegative and sum to 1")
-        return cls(values, probs, _discrete_sampler(values, probs), float(values.max()),
+            raise ParameterError("probabilities must be nonnegative and sum to 1")
+        # a value of probability 0 is never drawn, so it bounds no weight
+        return cls(values, probs, _discrete_sampler(values, probs), float(values[probs > 0].max()),
                    {"kind": "discrete", "values": values.tolist(), "probs": probs.tolist()})
 
     @classmethod
@@ -134,14 +135,14 @@ class WeightSpec:
         faster one from rate * upper of about 1.5 up."""
         rate, upper = float(rate), float(upper)
         if not (rate > 0 and 0 < upper < math.inf):
-            raise ValueError("rate must be positive, upper positive and finite")
+            raise ParameterError("rate must be positive, upper positive and finite")
         Z = -math.expm1(-rate * upper)  # 1 - e^{-rate upper}, without cancellation at small rate * upper
         x, wq = _gauss_legendre()
         nodes = 0.5 * upper * x + 0.5 * upper
         qw = 0.5 * upper * wq * (rate * np.exp(-rate * nodes) / Z)
         total = qw.sum()
         if not 1 - 1e-8 < total < 1 + 1e-8:
-            raise ValueError(f"density does not integrate to 1 on [0,{upper}]: {total}")
+            raise ParameterError(f"density does not integrate to 1 on [0,{upper}]: {total}")
 
         def sampler(rng, n):
             # in place, the same IEEE operations as -log1p(-u Z) / rate
@@ -258,14 +259,14 @@ class WeightSpec:
 def lambda_of_c(c: float) -> float:
     """Mean-degree parameter: lambda = 4 c log 2."""
     if not 0 <= c < math.inf:
-        raise ValueError(f"c must be nonnegative and finite, got {c}")
+        raise ParameterError(f"c must be nonnegative and finite, got {c}")
     return c * LOG2X4
 
 
 def c_of_lambda(lam: float) -> float:
     """Inverse of lambda_of_c; lambda = 0 is the empty model, as c = 0."""
     if not 0 <= lam < math.inf:
-        raise ValueError(f"lambda must be nonnegative and finite, got {lam}")
+        raise ParameterError(f"lambda must be nonnegative and finite, got {lam}")
     return lam / LOG2X4
 
 

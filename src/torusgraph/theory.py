@@ -124,7 +124,8 @@ def theorem3_constants(lam: float, w: WeightSpec):
     limit is 1/log gamma.  With W == 1 this reduces algebraically to the
     homogeneous constant 1/(lambda - 1 - log lambda).  Within about 1e-8
     of the threshold gamma may round to 1; the limit is then None, as no
-    finite constant is resolved.
+    finite constant is resolved.  Where the root lies past the y at which
+    the tilt overflows, all three are None.
     """
     crit = critical_parameter(lam, w)
     if crit >= 1.0:
@@ -144,10 +145,19 @@ def theorem3_constants(lam: float, w: WeightSpec):
     # E(W e^{sW}) / E(W^2 e^{sW}) is non-increasing in s >= 0: its reciprocal
     # is the mean of the law y e^{sy} mu(dy), whose s-derivative is a
     # variance.  So residual(1) = 1/crit - 1 > 0 and residual(1/crit) <= 0;
-    # a one-atom law has its root at 1/crit itself, up to round-off
+    # a one-atom law has its root at 1/crit itself, up to round-off.  The
+    # tilt grows with y and may overflow at 1/crit though it is finite at
+    # the root, so hi - 1 is halved until E(W^2 e^{sW}) is finite there;
+    # then so is E(W e^{sW}), as y e^{sy} <= max(y^2 e^{sy}, e^{sy})
     hi = 1.0 / crit
-    y = hi if residual(hi) >= 0 else float(brentq(residual, 1.0, hi, xtol=1e-15, rtol=8.9e-16))
-    assert abs(residual(y)) < 1e-10
+    with np.errstate(over="ignore"):
+        while not math.isfinite(w.expectation(lambda x: x**2 * np.exp(lam * M * (hi - 1.0) * x))):
+            hi = 1.0 + (hi - 1.0) / 2
+    r_hi = residual(hi)
+    if r_hi >= 0 and hi < 1.0 / crit:
+        return None, None, None  # the root lies where the tilt overflows
+    y = hi if r_hi >= 0 else float(brentq(residual, 1.0, hi, xtol=1e-15, rtol=8.9e-16))
+    assert abs(residual(y)) < 1e-10 * y
     s = lam * M * (y - 1.0)
     gamma = 1.0 / (lam * tilt_moments(w, s, 2))
     return y, gamma, (1.0 / math.log(gamma) if gamma > 1.0 else None)
@@ -181,7 +191,7 @@ def build_report(lam: float, w: WeightSpec) -> TheoryReport:
     if lam * w.mean <= 0:
         return report  # degenerate empty-graph model (lambda = 0 or W == 0), no limit constants
 
-    homogeneous = w.atoms.tolist() == [1.0]  # W == 1: one atom, at 1
+    homogeneous = w.atoms[w.masses > 0].tolist() == [1.0]  # W == 1: one atom of positive mass, at 1
     if regime == "supercritical":
         b_star, beta_hat = weighted_beta_profile(lam, w)
         report.b_star, report.beta_hat = b_star, beta_hat
@@ -194,10 +204,11 @@ def build_report(lam: float, w: WeightSpec) -> TheoryReport:
     elif regime == "subcritical":
         y, gamma, limit = theorem3_constants(lam, w)
         report.y, report.gamma, report.sub_const_weighted = y, gamma, limit
-        s = lam * w.mean * (y - 1.0)
-        report.residuals["y"] = abs(
-            tilt_moments(w, s, 1) / (lam * w.mean * tilt_moments(w, s, 2)) - y
-        )
+        if y is not None:
+            s = lam * w.mean * (y - 1.0)
+            report.residuals["y"] = abs(
+                tilt_moments(w, s, 1) / (lam * w.mean * tilt_moments(w, s, 2)) - y
+            )
         if homogeneous and 0 < lam < 1:
             report.sub_const = subcritical_constant(lam)
     return report

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusgraph.errors import ParameterError
 from torusgraph.geometry import (
     TorusConfig,
     continuous_rho,
@@ -82,6 +83,10 @@ class TestTorusDistance:
         u = ((a - 1) % N + 1, (b - 1) % N + 1)
         v = ((c - 1) % N + 1, (d - 1) % N + 1)
         assert torus_distance(u, v, cfg) == torus_distance(v, u, cfg)
+
+    def test_rejects_side_below_two(self):
+        with pytest.raises(ParameterError, match="side length must be > 1"):
+            TorusConfig(1)
 
     def test_rejects_invalid_vertex(self):
         cfg = TorusConfig(5)

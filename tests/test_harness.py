@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -27,6 +28,8 @@ from torusgraph.model import WeightSpec, c_of_lambda
 
 
 W12 = {"kind": "discrete", "values": [1.0, 2.0], "probs": [0.5, 0.5]}
+# the tilt overflows at its bracket end 1/crit, about 1e12, but not at the root
+TILT_OVERFLOW = {"kind": "discrete", "values": [1e-6, 1.0], "probs": [0.999999999999, 1e-12]}
 
 
 def small_plan(**over):
@@ -111,9 +114,9 @@ class TestPlanParsing:
             ExperimentPlan.from_dict(d).sweep[0].weight_spec()
 
     def test_c_lambda_exclusive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError, match="exactly one of"):
             ExperimentPlan.from_dict({"sweep": [{"N": 8, "c": 0.5, "lambda": 1.0}]})
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError, match="exactly one of"):
             ExperimentPlan.from_dict({"sweep": [{"N": 8}]})
 
     def test_lambda_converted_to_c(self):
@@ -143,8 +146,28 @@ class TestPlanParsing:
         assert plan.sweep[1].weights["kind"] == "constant"
 
     def test_bad_estimator(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError, match=re.escape("estimator must be one of ('C_over_N2', 'C_over_logN2')")):
             small_plan(estimator="C_over_N")
+
+    @pytest.mark.parametrize("d, message", [
+        ({"N": 8, "c": -1.0}, "c must be nonnegative and finite"),
+        ({"N": 8, "lambda": -1.0}, "lambda must be nonnegative and finite"),
+        ({"N": 8, "c": 0.5, "weights": {"kind": "constant", "value": -1}}, "weight must be nonnegative"),
+        ({"N": 8, "c": 0.5, "weights": {"kind": "discrete", "values": [1, 2, 3], "probs": [0.5, 0.5]}},
+         "values and probs must be 1-D arrays of equal length"),
+        ({"N": 8, "c": 0.5, "weights": {"kind": "discrete", "values": [-1, 2], "probs": [0.5, 0.5]}},
+         "weights must be nonnegative and finite"),
+        ({"N": 8, "c": 0.5, "weights": {"kind": "discrete", "values": [1, 2], "probs": [0.5, 0.6]}},
+         "probabilities must be nonnegative and sum to 1"),
+        ({"N": 8, "c": 0.5, "weights": {"kind": "truncated_exponential", "rate": 0}},
+         "rate must be positive, upper positive and finite"),
+    ], ids=["c-negative", "lambda-negative", "constant-negative", "discrete-shapes", "discrete-negative",
+            "discrete-probs", "trunc-exp-rate"])
+    def test_bad_value_raises_parameter_error(self, d, message):
+        # every range check on a plan's input raises the package's own
+        # type; the estimator and the c/lambda choice are tested above
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            ExperimentPlan.from_dict(d)
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "plan.json"
@@ -246,6 +269,23 @@ class TestRunExperiment:
         res = run_experiment(plan)
         assert res.points[0].warnings
 
+    def test_massless_atom_does_not_warn(self):
+        # every p <= 2.5e-4: the value 100 has probability 0, so it is never drawn
+        plan = ExperimentPlan.from_dict({"N": 400, "c": 0.1, "replicates": 1,
+                                         "weights": {"kind": "discrete", "values": [1, 100], "probs": [1, 0]}})
+        assert run_experiment(plan).points[0].warnings == []
+
+    def test_estimator_is_one_table_entry(self, monkeypatch):
+        # an estimator is its ESTIMATORS entry alone: the value function
+        # fills the rows, and its regime and report field give the target
+        monkeypatch.setitem(harness.ESTIMATORS, "C_over_N", (lambda C, N: C / N, "supercritical", "beta_hat"))
+        res = run_experiment(small_plan(estimator="C_over_N"))
+        rows = res.points[0].replicate_rows
+        assert [r["value"] for r in rows] == [r["C"] / 10 for r in rows]
+        assert res.points[0].target == pytest.approx(0.7968, abs=1e-3)
+        assert res.points[1].target is None  # subcritical
+        assert res.to_csv().count(",C_over_N,") == 8  # 2 points: 3 replicate rows and 1 summary row each
+
     def test_write_json(self):
         payload = json.loads(run_experiment(small_plan(replicates=1)).to_json())
         assert len(payload["points"]) == 2
@@ -335,6 +375,17 @@ class TestTheoryCommand:
 
     def test_weights_argument(self, capsys):
         assert self.report(capsys, "--lambda", "1.0", "--weights", json.dumps(W12))["regime"] == "supercritical"
+
+    def test_tilt_overflowing_at_the_bracket_end(self, capsys):
+        r = self.report(capsys, "--lambda", "0.5", "--weights", json.dumps(TILT_OVERFLOW))
+        assert r["y"] == pytest.approx(2.2934e7, rel=1e-4)
+        assert r["sub_const_weighted"] == pytest.approx(0.059323, rel=1e-4)
+
+    def test_massless_atom_bounds_no_weight(self, capsys):
+        # E W^2 = 1: the value 1e200 has probability 0
+        law = {"kind": "discrete", "values": [1, 1e200], "probs": [1, 0]}
+        r = self.report(capsys, "--lambda", "2.0", "--weights", json.dumps(law))
+        assert r["beta"] == self.report(capsys, "--lambda", "2.0")["beta"]
 
 
 class TestVerifyCoupling:
@@ -433,6 +484,31 @@ class TestCLI:
         weights = (tmp_path / "g.weights").read_text().splitlines()
         assert len(weights) == 64
         assert all(len(line.split()) == 4 for line in edges)
+
+    def test_weights_file_equals_literal(self, tmp_path, capsys):
+        # --weights takes a JSON literal or the path of a file holding one
+        law = tmp_path / "w.json"
+        law.write_text(json.dumps(W12))
+        prefix = str(tmp_path / "g")
+        outputs = []
+        for weights in (json.dumps(W12), str(law)):
+            assert cli_main(["theory", "--lambda", "0.3", "--weights", weights]) == 0
+            assert cli_main(["export-graph", "--N", "8", "--lambda", "2", "--weights", weights,
+                             "--out-prefix", prefix, "--seed", "5"]) == 0
+            outputs.append((capsys.readouterr().out, (tmp_path / "g.edges").read_text(),
+                            (tmp_path / "g.weights").read_text()))
+        assert outputs[0] == outputs[1]
+        assert '"regime": "subcritical"' in outputs[0][0]
+
+    def test_simulate_tilt_overflowing_at_the_bracket_end(self, tmp_path):
+        cfg = tmp_path / "plan.json"
+        cfg.write_text(json.dumps({"N": 8, "lambda": 0.5, "estimator": "C_over_logN2", "replicates": 2,
+                                   "weights": TILT_OVERFLOW}))
+        out = tmp_path / "r.csv"
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = list(csv.DictReader(io.StringIO(out.read_text())))[-1]
+        assert summary["row"] == "summary"
+        assert float(summary["target"]) == pytest.approx(0.059323, rel=1e-4)
 
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit):

@@ -48,10 +48,18 @@ class TestWeightSpec:
         assert w.support_bound == 2.0
 
     def test_discrete_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             WeightSpec.discrete([1.0, 2.0], [0.5, 0.6])
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             WeightSpec.discrete([-1.0, 2.0], [0.5, 0.5])
+
+    def test_massless_atom_bounds_no_weight(self):
+        # a value of probability 0 is never drawn, so neither E W^2 nor the
+        # support bound reads it; the JSON form keeps the lists as given
+        w = WeightSpec.discrete([1.0, 1e200], [1.0, 0.0])
+        assert (w.mean, w.second_moment, w.support_bound) == (1.0, 1.0, 1.0)
+        assert w.to_dict() == {"kind": "discrete", "values": [1.0, 1e200], "probs": [1.0, 0.0]}
+        assert w.sample(5, rng_for(0)).tolist() == [1.0] * 5
 
     def test_discrete_lln(self):
         w = WeightSpec.discrete([1.0, 2.0], [0.5, 0.5])

@@ -187,6 +187,23 @@ class TestTheorem3:
         with pytest.raises(RegimeError):
             theorem3_constants(0.5, W12)  # crit = 1.25
 
+    def test_tilt_overflowing_at_the_bracket_end(self):
+        # 1/crit is about 1e12, where e^{sW} overflows, but the root sits at
+        # s * w_max of about 11.5, where the tilt is finite
+        w = WeightSpec.discrete([1e-6, 1.0], [0.999999999999, 1e-12])
+        y, gamma, limit = theorem3_constants(0.5, w)
+        assert y == pytest.approx(2.2934e7, rel=1e-4)
+        assert limit == pytest.approx(0.059323, rel=1e-4)
+        assert 0.5 * w.mean * (y - 1) == pytest.approx(11.5, rel=0.01)
+
+    def test_root_past_the_overflow_gives_none(self):
+        # a subnormal mass at the largest atom puts the root where e^{sW}
+        # overflows: no constant is resolved, and nothing raises
+        w = WeightSpec.discrete([1e-6, 1.0], [1.0, 5e-324])
+        assert theorem3_constants(0.5, w) == (None, None, None)
+        r = build_report(0.5, w)
+        assert r.regime == "subcritical" and r.sub_const_weighted is None and r.residuals == {}
+
 
 class TestReport:
     def test_supercritical_homogeneous(self):
@@ -208,6 +225,12 @@ class TestReport:
         assert one_atom.beta is not None
         assert one_atom.beta == build_report(2.0, WeightSpec.constant(1.0)).beta
         assert build_report(0.5, WeightSpec.discrete([1.0], [1.0])).sub_const is not None
+
+    def test_massless_atom_leaves_a_unit_law_homogeneous(self):
+        # a value of probability 0 is never drawn: discrete([1, 100], [1, 0]) is W == 1
+        w = WeightSpec.discrete([1.0, 100.0], [1.0, 0.0])
+        assert build_report(2.0, w).beta == build_report(2.0, WeightSpec.constant()).beta
+        assert build_report(0.5, w).sub_const == build_report(0.5, WeightSpec.constant()).sub_const
 
     def test_trichotomy(self):
         for lam, expect in ((0.3, "subcritical"), (0.4, "critical"), (0.6, "supercritical")):
