@@ -3,7 +3,8 @@
 Subcommands:
   simulate      run an ExperimentPlan from a JSON config file
   theory        print the TheoryReport for one (lambda, W)
-  branching     oracle / simulator cross-checks
+  branching     oracle / simulator cross-checks: `borel` (Borel tail of a
+                Poisson tree) or `identity` (B1 = B2 progeny law)
   verify        Binomial-Poisson TV bound and lambda_N expansion suite
   export-graph  sample one graph and dump edge list + weights
 """
@@ -33,11 +34,6 @@ def _parse_weights(arg: str | None) -> dict | None:
         return json.load(fh)
 
 
-# the options that one `branching --check` reads and the other refuses, with their defaults
-_CHECK_OPTIONS = {"borel": (("--lambda-prime", "lambda_prime", 0.5), ("--kmax", "kmax", 20)),
-                  "identity": (("--lambda", "lam", 0.3), ("--weights", "weights", None))}
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="torusgraph")
     sp = ap.add_subparsers(dest="command", required=True)
@@ -55,15 +51,21 @@ def main(argv=None) -> int:
     th.add_argument("--weights", default=None, help="JSON literal or file")
     th.add_argument("--out", default=None, help="output path (default: stdout)")
 
-    br = sp.add_parser("branching", help="oracle/simulator cross-checks")
-    br.add_argument("--check", choices=("borel", "identity"), default="borel")
-    br.add_argument("--lambda-prime", type=float, help="borel only")
-    br.add_argument("--lambda", dest="lam", type=float, help="identity only")
-    br.add_argument("--weights", help="identity only: JSON literal or file")
-    br.add_argument("--samples", type=int, default=100_000)
-    br.add_argument("--kmax", type=int, help="borel only")
-    br.add_argument("--cap", type=int, default=1_000_000)
-    br.add_argument("--seed", type=int, default=0)
+    tree = argparse.ArgumentParser(add_help=False)  # the options both checks read
+    tree.add_argument("--samples", type=int, default=100_000)
+    tree.add_argument("--cap", type=int, default=1_000_000)
+    tree.add_argument("--seed", type=int, default=0)
+    checks = sp.add_parser("branching", help="oracle/simulator cross-checks").add_subparsers(
+        dest="check", required=True)
+    # no abbreviation, so that borel refuses --lambda instead of reading it as --lambda-prime
+    borel = checks.add_parser("borel", parents=[tree], allow_abbrev=False,
+                              help="progeny of Poisson(lambda') trees against the Borel tail")
+    borel.add_argument("--lambda-prime", type=float, default=0.5)
+    borel.add_argument("--kmax", type=int, default=20)
+    ident = checks.add_parser("identity", parents=[tree], allow_abbrev=False,
+                              help="two-sample KS test of the B1 = B2 progeny identity")
+    ident.add_argument("--lambda", dest="lam", type=float, default=0.3)
+    ident.add_argument("--weights", default=None, help="JSON literal or file")
 
     sp.add_parser("verify", help="coupling bound + lambda_N expansion suite")
 
@@ -78,48 +80,33 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
     files = contextlib.ExitStack()
-    # the one input check: every object a command uses is built here, before any sampling,
-    # and last every file it writes is opened, so a bad value never creates or truncates one
+    # the one input check: every object a command uses is built here, before any sampling (a
+    # branching check refuses bad input before its first draw, so it runs here whole), and
+    # last every file it writes is opened, so a bad value never creates or truncates one
     try:
-        if args.command == "branching":
-            for check, options in _CHECK_OPTIONS.items():
-                for flag, dest, default in options:
-                    if getattr(args, dest) is None:
-                        setattr(args, dest, default)
-                    elif check != args.check:
-                        raise ParameterError(f"{flag} is not read by --check {args.check}")
         if args.command == "simulate":
             plan = ExperimentPlan.load(args.config)
             if args.threads < 1:
                 raise ParameterError(f"--threads must be >= 1, got {args.threads}")
         elif args.command != "verify":
-            spec = WeightSpec.from_dict(_parse_weights(args.weights))
+            spec = WeightSpec.from_dict(_parse_weights(vars(args).get("weights")))
         if args.command == "theory":
             report = build_report(args.lam if args.lam is not None else lambda_of_c(args.c), spec)
         elif args.command == "export-graph":
             c = args.c if args.c is not None else c_of_lambda(args.lam)
             m = ModelConfig(TorusConfig(args.N), c, spec, args.seed)
         elif args.command == "branching":
-            if min(args.cap, args.samples, args.kmax) < 1:
-                raise ParameterError(f"--cap, --samples and --kmax must be >= 1, got {args.cap}, "
-                                     f"{args.samples} and {args.kmax}")
-            if args.check == "borel" and not 0 < args.lambda_prime < 1:  # the Borel law needs a subcritical tree
-                raise ParameterError(f"--lambda-prime must lie in (0, 1), got {args.lambda_prime}")
-            if args.check == "borel" and args.kmax > args.cap + 1:  # past cap + 1 a tree's size is unknown
-                raise ParameterError(f"--kmax must be <= --cap + 1, got {args.kmax} and {args.cap}")
-            if args.check == "identity":
-                mean_offspring = args.lam * spec.second_moment  # B2's offspring mean
-                if not 0 <= mean_offspring < 1:  # otherwise a tree may never end
-                    raise ParameterError(f"--lambda must give 0 <= lambda * E(W^2) < 1, got {args.lam} * "
-                                         f"{spec.second_moment:g} = {mean_offspring:g}")
-                spec.size_biased  # B1's root law raises here unless E W > 0
             rng = np.random.Generator(np.random.Philox(args.seed))
+            if args.check == "borel":
+                rows = borel_check(args.lambda_prime, args.samples, args.kmax, args.cap, rng)
+            else:
+                stat, pval = identity_check(args.lam, spec, args.samples, args.cap, rng)
         path = vars(args).get("out")
         out = files.enter_context(open(path, "w")) if path else sys.stdout
         if args.command == "export-graph":
             edges, weights = (files.enter_context(open(args.out_prefix + ext, "w"))
                               for ext in (".edges", ".weights"))
-    except (OSError, ValueError) as exc:  # a file that cannot be read or written, malformed JSON, ParameterError
+    except (OSError, ValueError) as exc:  # an unreadable or unwritable file, malformed JSON, a typed error
         files.close()
         ap.error(str(exc))
 
@@ -131,12 +118,10 @@ def main(argv=None) -> int:
         elif args.command == "theory":
             text = report.to_json() + "\n"
         elif args.command == "branching" and args.check == "borel":
-            rows = borel_check(args.lambda_prime, args.samples, args.kmax, args.cap, rng)
             ok = all(abs(z) <= 4 for *_, z in rows)
             text = "".join(f"k={k:3d}  exact={exact:.6f}  mc={mc:.6f}  |z|={abs(z):5.2f}  "
                            f"{'ok' if abs(z) <= 4 else 'FAIL'}\n" for k, exact, mc, z in rows)
         elif args.command == "branching":
-            stat, pval = identity_check(args.lam, spec, args.samples, args.cap, rng)
             ok = pval > 0.01
             text = f"two-sample KS: D={stat:.5f}  p={pval:.4f}  {'ok' if ok else 'FAIL'} (1% level)\n"
         elif args.command == "verify":

@@ -16,7 +16,6 @@ for throughput.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,10 +30,6 @@ class ComponentSummary:
     @property
     def largest(self) -> int:
         return int(self.sizes[0])
-
-    @property
-    def count(self) -> int:
-        return self.sizes.size
 
 
 def largest_component(g: Graph) -> ComponentSummary:
@@ -116,12 +111,6 @@ class ExplorationTrace:
 
     def vertices(self) -> list[int]:
         return [s.chosen for s in self.steps]
-
-    def to_jsonl(self) -> str:
-        """One JSON record per step: {"i": ..., "S": |S_i|, "X": X_i}."""
-        return "\n".join(
-            json.dumps({"i": s.i, "S": s.active, "X": s.activated}) for s in self.steps
-        )
 
 
 def explore_component(g: Graph, v: int, rng: np.random.Generator) -> ExplorationTrace:

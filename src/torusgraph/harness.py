@@ -267,13 +267,19 @@ def borel_check(lambda_prime: float, n: int, kmax: int, cap: int,
     """(k, exact, mc, z) for k = 1..kmax: the Borel tail P{T >= k} of a
     Po(lambda') tree, the fraction of n progeny_batch trees reaching k,
     and their z-score under the Binomial(n, exact) sampling error.  A
-    tree past `cap` counts as cap + 1, as in identity_check, so kmax
-    must be at most cap + 1: past it a tree's size is unknown."""
+    tree past `cap` counts as cap + 1, as in identity_check.
+
+    Refuses, before the first draw: n, kmax or cap below 1, kmax above
+    cap + 1 (past it a tree's size is unknown) with ParameterError, and
+    lambda' outside (0, 1), where the Borel law has no tail, with the
+    RegimeError of borel_tail, which draws nothing."""
+    if min(n, kmax, cap) < 1:
+        raise ParameterError(f"n, kmax and cap must be >= 1, got n={n}, kmax={kmax} and cap={cap}")
     if kmax > cap + 1:
         raise ParameterError(f"kmax must be <= cap + 1, got kmax={kmax} and cap={cap}")
+    exact = borel_tail(lambda_prime, np.arange(1, kmax + 1))
     sizes = progeny_batch(lambda_prime, WeightSpec.constant(), n, cap, rng)
     sizes[sizes == EXCEEDED] = cap + 1
-    exact = borel_tail(lambda_prime, np.arange(1, kmax + 1))
     # the trees reaching k, n minus those of size < k, over n: (sizes >= k).mean() exactly
     mc = (n - np.cumsum(np.bincount(np.minimum(sizes, kmax + 1), minlength=kmax + 2))[:kmax]) / n
     z = (mc - exact) / np.maximum(np.sqrt(exact * (1 - exact) / n), 1e-12)
@@ -285,9 +291,21 @@ def identity_check(lam: float, w: WeightSpec, n: int, cap: int,
     """Two-sample KS (D, p) between the total progeny of n B1 trees, each
     rooted at a size-biased type, and n B2 trees, whose laws are equal.
     Draws every root in one batch, then B1 per root, then B2 in one
-    progeny_batch; a tree past `cap` counts as cap + 1 in both samples."""
+    progeny_batch; a tree past `cap` counts as cap + 1 in both samples.
+
+    Refuses, before the first draw: n or cap below 1 and a B2 offspring
+    mean lambda * E(W^2) outside [0, 1), where a tree may never end, with
+    ParameterError, and E W = 0, where B1's size-biased root has no law,
+    with the error of w.size_biased."""
+    if min(n, cap) < 1:
+        raise ParameterError(f"n and cap must be >= 1, got n={n} and cap={cap}")
+    mean_offspring = lam * w.second_moment
+    if not 0 <= mean_offspring < 1:
+        raise ParameterError(f"lambda must give 0 <= lambda * E(W^2) < 1, got {lam} * "
+                             f"{w.second_moment:g} = {mean_offspring:g}")
+    tilde = w.size_biased  # B1's root law: raises here unless E W > 0
     from scipy.stats import ks_2samp  # ~0.6 s and ~21 MB on first import
-    roots = w.size_biased.sample(n, rng)
+    roots = tilde.sample(n, rng)
     b = np.stack([np.fromiter((simulate_B1(float(x), lam, w, cap, rng) for x in roots), np.int64, n),
                   progeny_batch(lam, w, n, cap, rng)])
     b[b == EXCEEDED] = cap + 1

@@ -300,8 +300,43 @@ class TestTwoProcessIdentity:
         assert all(abs(z) < 4 for *_, z in rows)
 
     def test_borel_check_refuses_kmax_above_cap_plus_one(self):
+        rng = rng_for(5)
+        before = _state(rng)
         with pytest.raises(ParameterError, match="kmax must be <= cap \\+ 1"):
-            borel_check(0.5, 100, 7, 5, rng_for(5))
+            borel_check(0.5, 100, 7, 5, rng)
+        assert _state(rng) == before  # refused before the first draw
+
+
+class TestChecksRefuseBeforeDrawing:
+    # each check refuses bad input with a typed error before its first
+    # draw, so a refused call leaves the generator where it was (kmax
+    # above cap + 1: TestTwoProcessIdentity)
+    @pytest.mark.parametrize("lambda_prime, n, error, match", [
+        pytest.param(0.0, 200, RegimeError, "lambda' in \\(0,1\\)", id="lambda-prime-0"),
+        pytest.param(1.0, 200, RegimeError, "lambda' in \\(0,1\\)", id="lambda-prime-1"),
+        pytest.param(1.5, 200, RegimeError, "lambda' in \\(0,1\\)", id="lambda-prime-1.5"),
+        pytest.param(0.5, 0, ParameterError, "n, kmax and cap must be >= 1", id="n-0"),
+    ])
+    def test_borel_check(self, lambda_prime, n, error, match):
+        rng = rng_for(5)
+        before = _state(rng)
+        with pytest.raises(error, match=match):
+            borel_check(lambda_prime, n, 20, 10**5, rng)
+        assert _state(rng) == before
+
+    @pytest.mark.parametrize("lam, w, n, error, match", [
+        # lambda E W^2 = 1.5 and 0.4 * 2.5 = 1: a tree may never end
+        pytest.param(1.5, W1, 200, ParameterError, "lambda \\* E\\(W\\^2\\) < 1", id="constant-supercritical"),
+        pytest.param(0.4, W12, 200, ParameterError, "lambda \\* E\\(W\\^2\\) < 1", id="discrete12-critical"),
+        pytest.param(0.3, WeightSpec.constant(0.0), 200, ValueError, "E W > 0", id="zero-mean"),
+        pytest.param(0.3, W1, 0, ParameterError, "n and cap must be >= 1", id="n-0"),
+    ])
+    def test_identity_check(self, lam, w, n, error, match):
+        rng = rng_for(5)
+        before = _state(rng)
+        with pytest.raises(error, match=match):
+            identity_check(lam, w, n, 10**5, rng)
+        assert _state(rng) == before
 
 
 class TestBinomialPoissonTV:

@@ -1,5 +1,4 @@
 import hashlib
-import json
 
 import numpy as np
 import pytest
@@ -34,21 +33,21 @@ class TestLargestComponent:
     def test_empty_graph(self):
         cs = largest_component(make_graph(3, []))
         assert cs.largest == 1
-        assert cs.count == 9
+        assert cs.sizes.size == 9
         assert np.all(cs.sizes == 1)
 
     def test_complete_graph(self):
         n = 9
         edges = [(a, b) for a in range(n) for b in range(a + 1, n)]
         cs = largest_component(make_graph(3, edges))
-        assert cs.largest == n and cs.count == 1
+        assert cs.largest == n and cs.sizes.size == 1
 
     @pytest.mark.parametrize("N", [2, 5, 40])
     def test_edgeless_graph(self, N):
         g = sample_graph(ModelConfig(TorusConfig(N), 0.0, seed=1))
         assert g.edge_count == 0
         cs = largest_component(g)
-        assert cs.count == N * N
+        assert cs.sizes.size == N * N
         assert np.all(cs.sizes == 1) and cs.largest == 1
 
     def test_two_components_and_isolated_vertices(self):
@@ -56,7 +55,7 @@ class TestLargestComponent:
         g = make_graph(4, [(0, 1), (2, 1), (3, 2), (5, 9), (9, 10), (10, 5)])
         cs = largest_component(g)
         assert cs.largest == 4
-        assert cs.count == 2 + 9
+        assert cs.sizes.size == 2 + 9
         assert list(cs.sizes) == [4, 3] + [1] * 9
 
     def test_path_listed_from_its_far_end(self):
@@ -66,7 +65,7 @@ class TestLargestComponent:
         g = make_graph(3, [(7, 8), (6, 7), (3, 6), (0, 3)])
         cs = largest_component(g)
         assert list(cs.sizes) == [5, 1, 1, 1, 1]
-        assert cs.largest == 5 and cs.count == 5
+        assert cs.largest == 5 and cs.sizes.size == 5
 
     @pytest.mark.parametrize("N, lam, w, seed", [
         (20, 0.8, WeightSpec.constant(), 1),
@@ -100,7 +99,7 @@ class TestLargestComponent:
         cs = largest_component(g)
         assert cs.sizes.sum() == g.n_vertices
         assert cs.largest == cs.sizes.max()
-        assert 1 <= cs.count <= g.n_vertices
+        assert 1 <= cs.sizes.size <= g.n_vertices
 
 
 def oracle_sizes(g):
@@ -237,13 +236,6 @@ class TestExploration:
                 sizes[v] = explore_component(g, v, rng_for(seed)).T
             # group by component via repeated exploration from each vertex
             assert max(sizes.values()) == cs.largest
-
-    def test_jsonl_dump(self):
-        g = make_graph(2, [(0, 1), (1, 2)])
-        tr = explore_component(g, 0, rng_for(1))
-        records = [json.loads(line) for line in tr.to_jsonl().splitlines()]
-        assert [r["i"] for r in records] == [1, 2, 3]
-        assert all(set(r) == {"i", "S", "X"} for r in records)
 
 
 class TestDecomposition:

@@ -435,7 +435,7 @@ class TestCLI:
         assert capsys.readouterr().out.strip().endswith("PASS")
 
     def test_branching_borel(self, capsys):
-        rc = cli_main(["branching", "--check", "borel", "--lambda-prime", "0.5",
+        rc = cli_main(["branching", "borel", "--lambda-prime", "0.5",
                        "--samples", "20000", "--kmax", "5"])
         assert rc == 0
         assert "FAIL" not in capsys.readouterr().out
@@ -446,14 +446,14 @@ class TestCLI:
         # it at once instead of sampling until the cap
         t0 = time.perf_counter()
         with pytest.raises(SystemExit) as exc:
-            cli_main(["branching", "--check", "borel", "--lambda-prime", lam,
+            cli_main(["branching", "borel", "--lambda-prime", lam,
                       "--samples", "2000", "--cap", "1000"])
         assert exc.value.code == 2
         assert time.perf_counter() - t0 < 1.0
-        assert "--lambda-prime" in capsys.readouterr().err
+        assert "lambda' in (0,1)" in capsys.readouterr().err
 
     def test_branching_identity(self, capsys):
-        rc = cli_main(["branching", "--check", "identity", "--lambda", "0.3",
+        rc = cli_main(["branching", "identity", "--lambda", "0.3",
                        "--samples", "2000"])
         assert rc == 0
         out = capsys.readouterr().out
@@ -465,7 +465,7 @@ class TestCLI:
     ])
     def test_branching_identity_rejects_supercritical(self, lam, weights, capsys):
         # lambda * E(W^2) >= 1: nearly every tree would run to the cap
-        argv = ["branching", "--check", "identity", "--lambda", lam, "--samples", "40"]
+        argv = ["branching", "identity", "--lambda", lam, "--samples", "40"]
         if weights is not None:
             argv += ["--weights", weights]
         t0 = time.perf_counter()
@@ -473,7 +473,7 @@ class TestCLI:
             cli_main(argv)
         assert exc.value.code == 2
         assert time.perf_counter() - t0 < 1.0
-        assert "--lambda" in capsys.readouterr().err
+        assert "lambda must give 0 <= lambda * E(W^2) < 1" in capsys.readouterr().err
 
     def test_export_graph(self, tmp_path, capsys):
         prefix = tmp_path / "g"
@@ -514,9 +514,15 @@ class TestCLI:
         with pytest.raises(SystemExit):
             cli_main([])
 
+    def test_branching_without_check_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["branching"])
+        assert exc.value.code == 2
+        assert "required" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["theory", "--lambda", "0.3"],
-        ["branching", "--check", "identity", "--lambda", "0.3", "--samples", "40"],
+        ["branching", "identity", "--lambda", "0.3", "--samples", "40"],
         ["export-graph", "--N", "8", "--lambda", "2.0", "--out-prefix", "unused"],
     ])
     @pytest.mark.parametrize("weights, name", [
@@ -590,22 +596,23 @@ class TestCLI:
                      id="plan-seed-negative"),
         pytest.param(["export-graph", "--N", "8", "--lambda", "2", "--out-prefix", "unused", "--seed", "-1"],
                      None, "seed must be >= 0", id="export-seed-negative"),
-        pytest.param(["branching", "--cap", "0"], None, "--cap, --samples and --kmax must be >= 1", id="branching-cap-0"),
-        pytest.param(["branching", "--check", "identity", "--samples", "0"], None, "--cap, --samples and --kmax must be >= 1",
+        pytest.param(["branching", "borel", "--cap", "0"], None, "n, kmax and cap must be >= 1",
+                     id="branching-cap-0"),
+        pytest.param(["branching", "identity", "--samples", "0"], None, "n and cap must be >= 1",
                      id="identity-samples-0"),
-        pytest.param(["branching", "--kmax", "0"], None, "--cap, --samples and --kmax must be >= 1",
+        pytest.param(["branching", "borel", "--kmax", "0"], None, "n, kmax and cap must be >= 1",
                      id="borel-kmax-0"),
-        pytest.param(["branching", "--check", "borel", "--cap", "5", "--kmax", "8"], None,
-                     "--kmax must be <= --cap + 1", id="borel-kmax-above-cap"),
-        pytest.param(["branching", "--check", "identity", "--weights", '{"kind": "constant", "value": 0}'],
+        pytest.param(["branching", "borel", "--cap", "5", "--kmax", "8"], None,
+                     "kmax must be <= cap + 1", id="borel-kmax-above-cap"),
+        pytest.param(["branching", "identity", "--weights", '{"kind": "constant", "value": 0}'],
                      None, "E W > 0", id="identity-zero-weights"),
-        pytest.param(["branching", "--check", "borel", "--weights", '{"kind": "constant", "value": 5}'], None,
-                     "--weights is not read by --check borel", id="borel-weights"),
-        pytest.param(["branching", "--lambda", "7"], None, "--lambda is not read by --check borel", id="borel-lambda"),
-        pytest.param(["branching", "--check", "identity", "--lambda-prime", "7"], None,
-                     "--lambda-prime is not read by --check identity", id="identity-lambda-prime"),
-        pytest.param(["branching", "--check", "identity", "--kmax", "0"], None,
-                     "--kmax is not read by --check identity", id="identity-kmax-0"),
+        pytest.param(["branching", "borel", "--weights", '{"kind": "constant", "value": 5}'], None,
+                     "unrecognized arguments", id="borel-weights"),
+        pytest.param(["branching", "borel", "--lambda", "7"], None, "unrecognized arguments", id="borel-lambda"),
+        pytest.param(["branching", "identity", "--lambda-prime", "7"], None,
+                     "unrecognized arguments", id="identity-lambda-prime"),
+        pytest.param(["branching", "identity", "--kmax", "0"], None,
+                     "unrecognized arguments", id="identity-kmax-0"),
         pytest.param(["simulate"], {"N": 10, "c": None}, "c must be a number", id="plan-c-null"),
         pytest.param(["simulate"], {"N": 10, "c": 0.5, "weights": {"kind": "constant", "value": None}},
                      "value must be a number", id="plan-value-null"),
@@ -635,7 +642,7 @@ class TestCLI:
                      id="theory-seed"),
         pytest.param(["simulate", "--seed", "9"], {"N": 10, "c": 0.5}, "unrecognized arguments",
                      id="simulate-seed"),
-        pytest.param(["branching", "--out", "x"], None, "unrecognized arguments", id="branching-out"),
+        pytest.param(["branching", "borel", "--out", "x"], None, "unrecognized arguments", id="branching-out"),
         pytest.param(["verify", "--seed", "1"], None, "unrecognized arguments", id="verify-seed"),
         pytest.param(["verify", "--out", "x"], None, "unrecognized arguments", id="verify-out"),
     ])
@@ -747,7 +754,7 @@ class TestCLI:
 
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats costs ~0.6 s and ~21 MB per process; only verify and
-    # branching --check identity load it, on first use
+    # branching identity load it, on first use
     code = (
         "import sys, torusgraph, torusgraph.cli\n"
         "assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded at import'\n"
