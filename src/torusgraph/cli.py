@@ -118,9 +118,10 @@ def main(argv=None) -> int:
         elif args.command == "theory":
             text = report.to_json() + "\n"
         elif args.command == "branching" and args.check == "borel":
-            ok = all(abs(z) <= 4 for *_, z in rows)
-            text = "".join(f"k={k:3d}  exact={exact:.6f}  mc={mc:.6f}  |z|={abs(z):5.2f}  "
-                           f"{'ok' if abs(z) <= 4 else 'FAIL'}\n" for k, exact, mc, z in rows)
+            flags = ["ok" if abs(z) <= 4 else "FAIL" for *_, z in rows]
+            ok = "FAIL" not in flags
+            text = "".join(f"k={k:3d}  exact={exact:.6f}  mc={mc:.6f}  |z|={abs(z):5.2f}  {flag}\n"
+                           for (k, exact, mc, z), flag in zip(rows, flags))
         elif args.command == "branching":
             ok = pval > 0.01
             text = f"two-sample KS: D={stat:.5f}  p={pval:.4f}  {'ok' if ok else 'FAIL'} (1% level)\n"

@@ -28,6 +28,8 @@ class TorusConfig:
     def __init__(self, N: int):
         if N <= 1:
             raise ParameterError(f"side length must be > 1, got {N}")
+        if N > 46340:  # vertices are numbered in int32, so N^2 < 2^31
+            raise ParameterError(f"side length must be <= 46340, got {N}")
         self.N = int(N)
         i = np.arange(self.N)
         # folded distance d_N(i) of a single-coordinate offset i; for even

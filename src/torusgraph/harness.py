@@ -57,6 +57,7 @@ class SweepPoint:
         if self.weights is None:
             self.weights = WeightSpec.constant().to_dict()
         self.N = integer(self.N, "N", 2)  # N = 2 is the smallest torus
+        TorusConfig(self.N)
         lambda_of_c(self.c)
         self.weight_spec()
 

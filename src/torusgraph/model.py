@@ -330,13 +330,13 @@ class Graph:
 
     Vertices are indexed 0..N^2-1 row-major over coordinates.  `pairs`
     holds each undirected edge once as a (lo, hi) row with lo < hi, in
-    the order the sampler drew it: int32 rows from `sample_graph` while
-    N^2 < 2^31.  `edges` is the same edges as int64 (min, max) rows,
-    lexicographically sorted once, on first read, and cached; the
-    readers that need no order (`edge_count`, `largest_component`) read
-    `pairs` and never sort.  The CSR adjacency is built lazily, once,
-    and cached, so do not mutate the graph once `edges` or `adjacency`
-    has been read.
+    the order the sampler drew it: int32 rows from `sample_graph`, as
+    `TorusConfig` keeps N^2 < 2^31.  `edges` is the same edges as int64
+    (min, max) rows, lexicographically sorted once, on first read, and
+    cached; the readers that need no order (`edge_count`,
+    `largest_component`) read `pairs` and never sort.  The CSR adjacency
+    is built lazily, once, and cached, so do not mutate the graph once
+    `edges` or `adjacency` has been read.
     """
 
     N: int
@@ -600,7 +600,6 @@ def sample_graph(m: ModelConfig) -> Graph:
         before = np.cumsum(counts[nz]) - counts[nz]
         chunks = np.split(nz, np.diff(before // CHUNK).nonzero()[0] + 1)
     pairs: list[np.ndarray] = []  # the kept edges as (lo, hi) rows, in the order drawn
-    pair_type = np.int32 if n < 2**31 else np.int64
     for g in chunks:
         gi = np.repeat(g, counts[g])
         if every[g].any():  # a full group takes each of its slots once, the others draw theirs
@@ -633,7 +632,7 @@ def sample_graph(m: ModelConfig) -> Graph:
             keep = slots.owns(o, u, v)
         k = np.flatnonzero(keep)
         u, v = u.take(k), v.take(k)
-        p = np.empty((k.size, 2), dtype=pair_type)
+        p = np.empty((k.size, 2), dtype=np.int32)
         np.minimum(u, v, out=p[:, 0])
         np.maximum(u, v, out=p[:, 1])
         pairs.append(p)

@@ -88,6 +88,12 @@ class TestTorusDistance:
         with pytest.raises(ParameterError, match="side length must be > 1"):
             TorusConfig(1)
 
+    def test_rejects_side_past_int32_labels(self):
+        # vertices are numbered in int32: N^2 = 46341^2 >= 2^31
+        with pytest.raises(ParameterError, match="side length must be <= 46340"):
+            TorusConfig(46341)
+        assert TorusConfig(46340).n_vertices == 46340**2
+
     def test_rejects_invalid_vertex(self):
         cfg = TorusConfig(5)
         with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
 import contextlib
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -14,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import torusgraph
 from torusgraph import harness
 from torusgraph.cli import main as cli_main
 from torusgraph.errors import ParameterError
@@ -131,6 +134,11 @@ class TestPlanParsing:
         assert type(plan.sweep[0].N) is int and type(plan.replicates) is int
         with pytest.raises(ParameterError, match="N must be an integer"):
             ExperimentPlan.from_dict({"N": 8.5, "c": 0.5})
+
+    def test_side_past_int32_labels_refused(self):
+        # the plan is refused when it is built, before any point samples
+        with pytest.raises(ParameterError, match="side length must be <= 46340"):
+            ExperimentPlan.from_dict({"N": 46341, "lambda": 0.5})
 
     def test_single_point_shorthand(self):
         plan = ExperimentPlan.from_dict({"N": 9, "c": 0.4, "replicates": 2})
@@ -580,6 +588,8 @@ class TestCLI:
                      "E W^2 must be finite", id="discrete-second-moment-overflows"),
         pytest.param(["export-graph", "--N", "1", "--lambda", "2", "--out-prefix", "unused"], None,
                      "side length", id="export-N-1"),
+        pytest.param(["export-graph", "--N", "46341", "--lambda", "1", "--out-prefix", "unused"], None,
+                     "side length must be <= 46340", id="export-N-46341"),
         pytest.param(["export-graph", "--N", "8", "--c", "-1", "--out-prefix", "unused"], None,
                      "c must be nonnegative", id="export-c-negative"),
         pytest.param(["export-graph", "--N", "8", "--lambda", "NaN", "--out-prefix", "unused"], None,
@@ -649,7 +659,8 @@ class TestCLI:
     def test_bad_input_exits_2(self, argv, plan, message, tmp_path, capsys, monkeypatch):
         # a bad value or an option the command does not read is a usage
         # error, reported before anything runs: no traceback, no output row,
-        # and no quadrature of more than 4096 nodes
+        # no output file and no quadrature of more than 4096 nodes
+        monkeypatch.chdir(tmp_path)  # where "unused" would be written
         leggauss = np.polynomial.legendre.leggauss
         monkeypatch.setattr(np.polynomial.legendre, "leggauss",
                             lambda n: leggauss(n) if n <= 4096 else pytest.fail(f"{n} nodes computed"))
@@ -663,6 +674,7 @@ class TestCLI:
         assert exc.value.code == 2
         assert message in err and "Traceback" not in err
         assert out == ""
+        assert [p.name for p in tmp_path.iterdir()] == (["plan.json"] if plan is not None else [])
 
     @pytest.mark.parametrize("argv, plan", [
         pytest.param(["simulate", "--out", "{missing}/r.csv"], {"N": 8, "c": 0.5}, id="simulate-out"),
@@ -753,10 +765,15 @@ class TestCLI:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs ~0.6 s and ~21 MB per process; only verify and
-    # branching identity load it, on first use
+    # the package root is a namespace: it loads no submodule, numpy or
+    # scipy.  scipy.stats costs ~0.6 s and ~21 MB per process; only verify
+    # and branching identity load it, on first use
     code = (
-        "import sys, torusgraph, torusgraph.cli\n"
+        "import sys, torusgraph\n"
+        "loaded = [m for m in sys.modules if m.startswith(('torusgraph.', 'numpy', 'scipy'))]\n"
+        "assert not loaded, loaded\n"
+        "assert torusgraph.__version__ == '0.1.0'\n"
+        "import torusgraph.cli\n"
         "assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded at import'\n"
         "from torusgraph.branching import binomial_poisson_tv\n"
         "print(repr(binomial_poisson_tv(10, 0.5)))\n"
@@ -765,3 +782,18 @@ def test_import_leaves_scipy_stats_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0.011859375005987985"
+
+
+def test_readme_names_resolve():
+    # every `module.name` or `Class.attr` the README cites outside code
+    # fences, whose head is a torusgraph submodule or a class defined in one
+    heads = {}
+    for info in pkgutil.iter_modules(torusgraph.__path__):
+        mod = heads[info.name] = importlib.import_module(f"torusgraph.{info.name}")
+        heads.update((k, v) for k, v in vars(mod).items() if isinstance(v, type) and v.__module__ == mod.__name__)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    prose = re.sub(r"^```.*?^```", "", readme, flags=re.M | re.S)
+    cited = [m.groups() for span in re.findall(r"`([^`]+)`", prose) if (m := re.match(r"(\w+)\.(\w+)", span))]
+    cited = [(head, name) for head, name in cited if head in heads]
+    assert cited
+    assert [f"{head}.{name}" for head, name in cited if not hasattr(heads[head], name)] == []
