@@ -16,7 +16,7 @@ for throughput.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,41 +94,26 @@ def largest_component(g: Graph) -> ComponentSummary:
 
 @dataclass
 class TraceStep:
-    i: int
     active: int        # |S_i| after the step
     activated: int     # X_i
     chosen: int        # vertex index saturated at this step
 
 
-@dataclass
-class ExplorationTrace:
-    start: int
-    steps: list[TraceStep] = field(default_factory=list)
-
-    @property
-    def T(self) -> int:
-        return len(self.steps)
-
-    def vertices(self) -> list[int]:
-        return [s.chosen for s in self.steps]
-
-
-def explore_component(g: Graph, v: int, rng: np.random.Generator) -> ExplorationTrace:
+def explore_component(g: Graph, v: int, rng: np.random.Generator) -> list[TraceStep]:
     """Reveal the component of v by the active/saturated/neutral procedure.
 
     At each step one active vertex is chosen uniformly at random and its
-    neutral neighbors become active.  The stopping time (number of
-    steps) is the component size, whatever the tie-breaking.
+    neutral neighbors become active.  Returns one TraceStep per step,
+    step i at position i - 1; the stopping time T, their number, is the
+    component size, whatever the tie-breaking.
 
     `v` is a vertex index, 0 <= v < g.n_vertices.
     """
     status = np.zeros(g.n_vertices, dtype=np.int8)  # 0 neutral, 1 active, 2 saturated
     status[v] = 1
     active = [int(v)]
-    trace = ExplorationTrace(start=int(v))
-    i = 0
+    trace: list[TraceStep] = []
     while active:
-        i += 1
         pick = int(rng.integers(len(active)))
         active[pick], active[-1] = active[-1], active[pick]
         vi = active.pop()
@@ -137,11 +122,11 @@ def explore_component(g: Graph, v: int, rng: np.random.Generator) -> Exploration
         for u in newly:
             status[u] = 1
         active.extend(newly)
-        trace.steps.append(TraceStep(i=i, active=len(active), activated=len(newly), chosen=vi))
+        trace.append(TraceStep(active=len(active), activated=len(newly), chosen=vi))
     return trace
 
 
-def component_decomposition(g: Graph, rng: np.random.Generator) -> list[ExplorationTrace]:
+def component_decomposition(g: Graph, rng: np.random.Generator) -> list[list[TraceStep]]:
     """Explore components from uniformly chosen unvisited start vertices
     until every vertex is covered exactly once.
 
@@ -149,11 +134,11 @@ def component_decomposition(g: Graph, rng: np.random.Generator) -> list[Explorat
     visited vertices; the first unvisited vertex of a uniform
     permutation is uniform among the unvisited ones."""
     visited = np.zeros(g.n_vertices, dtype=bool)
-    traces: list[ExplorationTrace] = []
+    traces: list[list[TraceStep]] = []
     for start in rng.permutation(g.n_vertices):
         if visited[start]:
             continue
         tr = explore_component(g, int(start), rng)
         traces.append(tr)
-        visited[tr.vertices()] = True
+        visited[[s.chosen for s in tr]] = True
     return traces

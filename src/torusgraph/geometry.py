@@ -30,6 +30,8 @@ class TorusConfig:
             raise ParameterError(f"side length must be > 1, got {N}")
         if N > 46340:  # vertices are numbered in int32, so N^2 < 2^31
             raise ParameterError(f"side length must be <= 46340, got {N}")
+        if not float(N).is_integer():  # after the range checks: float(10**400) overflows
+            raise ParameterError(f"side length must be a whole number, got {N}")
         self.N = int(N)
         i = np.arange(self.N)
         # folded distance d_N(i) of a single-coordinate offset i; for even
@@ -66,28 +68,27 @@ def torus_distance(u: Vertex, v: Vertex, cfg: TorusConfig) -> int:
 def ring_size(r: int, cfg: TorusConfig) -> int:
     """Number of vertices at distance exactly r from any fixed vertex.
 
-    Closed-form, split by parity of N.  Rings beyond max_dist (possible
-    for odd N, where the formula gives 0 at r = N) are valid empty rings.
+    Rings beyond max_dist (possible for odd N, where the formula gives 0
+    at r = N) are valid empty rings.
     """
-    N = cfg.N
-    if not 1 <= r <= N:
-        raise ValueError(f"ring index r={r} outside [1, {N}]")
-    if N % 2 == 1:
-        half = N // 2
-        return 4 * r if r <= half else 4 * (N - r)
-    # even N
-    if r < N // 2:
-        return 4 * r
-    if r == N // 2:
-        return 2 * (N - 1)
-    if r < N:
-        return 4 * (N - r)
-    return 1  # r == N: the unique antipodal vertex
+    if not 1 <= r <= cfg.N:
+        raise ValueError(f"ring index r={r} outside [1, {cfg.N}]")
+    return int(ring_sizes(cfg)[r - 1])
 
 
 def ring_sizes(cfg: TorusConfig) -> np.ndarray:
-    """ring_size for r = 1..N as an array (index 0 <-> r = 1)."""
-    return np.array([ring_size(r, cfg) for r in range(1, cfg.N + 1)], dtype=np.int64)
+    """ring_size for r = 1..N as an array (index 0 <-> r = 1).
+
+    Closed form 4 min(r, N - r), except for even N at r = N/2, where the
+    two folds meet (2(N - 1)), and at r = N, the unique antipodal vertex.
+    """
+    N = cfg.N
+    r = np.arange(1, N + 1, dtype=np.int64)
+    sizes = 4 * np.minimum(r, N - r)
+    if N % 2 == 0:
+        sizes[N // 2 - 1] = 2 * (N - 1)
+        sizes[N - 1] = 1
+    return sizes
 
 
 def ring_vertices(u: Vertex, r: int, cfg: TorusConfig) -> list[Vertex]:

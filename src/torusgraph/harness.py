@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -187,12 +188,13 @@ class ExperimentResult:
 def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
     """Run every sweep point; deterministic given the plan and root seed.
 
-    Replicates fan out over min(threads, replicates) worker processes, as
-    no more run at once, one pool for the whole run, so each worker builds
-    its slot tables once per N; rows are reduced in replicate order
+    Replicates fan out over min(threads, replicates, CPUs) worker
+    processes, as no more run at once, one pool for the whole run, so each
+    worker builds its slot tables once per N; rows are reduced in replicate order
     regardless of completion order (executor.map preserves input order).
     """
-    workers = min(threads, plan.replicates)  # a fork-started pool forks them all at its first map
+    # a fork-started pool forks them all at its first map
+    workers = min(threads, plan.replicates, os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     run = pool.map if pool else map
     with pool or contextlib.nullcontext():
@@ -226,40 +228,29 @@ def _run_point(plan: ExperimentPlan, pi: int, p: SweepPoint, run) -> PointResult
 # verification front-ends
 # ---------------------------------------------------------------------------
 
-DEFAULT_TV_GRID = tuple(
-    (n, lam) for n in (10, 100, 1000) for lam in (0.5, 1.0, 2.0) if lam <= n
-)
-DEFAULT_LAMBDA_N_SWEEP = (250, 500, 1000, 2000)
-
-
-def verify_coupling(tv_grid=DEFAULT_TV_GRID, lambda_n_sweep=DEFAULT_LAMBDA_N_SWEEP) -> list[dict]:
-    """Pass/fail table for the Binomial-Poisson TV bound and the
-    finite-N intensity expansion lambda_N = lambda - 2c/N + o(1/N), at c = 1."""
+def verify_coupling() -> list[dict]:
+    """Pass/fail table for the Binomial-Poisson TV bound on n in
+    {10, 100, 1000} x lambda in {0.5, 1, 2}, and for the finite-N
+    intensity expansion lambda_N = lambda - 2c/N + o(1/N) at c = 1 on
+    N in {250, 500, 1000, 2000}."""
     rows: list[dict] = []
-    for n, lam in tv_grid:
-        tv = binomial_poisson_tv(n, lam)
-        bound = lam * lam / n
-        rows.append(
-            {"check": "tv_bound", "n": n, "lambda": lam,
-             "value": tv, "bound": bound, "passed": tv <= bound}
-        )
-    if lambda_n_sweep:
-        c = 1.0
-        lam = lambda_of_c(c)
-        errs = []
-        for N in lambda_n_sweep:
-            lN = lambda_N(c, TorusConfig(N))
-            err = N * abs(lN - lam + 2 * c / N)
-            errs.append(err)
-            rows.append(
-                {"check": "lambda_N_expansion", "N": N, "lambda_N": lN,
-                 "value": err, "bound": None, "passed": True}
-            )
-        decreasing = all(a > b for a, b in zip(errs, errs[1:]))
-        rows.append(
-            {"check": "lambda_N_trend", "value": errs, "bound": "strictly decreasing",
-             "passed": decreasing}
-        )
+    for n in (10, 100, 1000):
+        for lam in (0.5, 1.0, 2.0):
+            tv, bound = binomial_poisson_tv(n, lam), lam * lam / n
+            rows.append({"check": "tv_bound", "n": n, "lambda": lam,
+                         "value": tv, "bound": bound, "passed": tv <= bound})
+    c = 1.0
+    lam = lambda_of_c(c)
+    errs = []
+    for N in (250, 500, 1000, 2000):
+        lN = lambda_N(c, TorusConfig(N))
+        err = N * abs(lN - lam + 2 * c / N)
+        errs.append(err)
+        rows.append({"check": "lambda_N_expansion", "N": N, "lambda_N": lN,
+                     "value": err, "bound": None, "passed": True})
+    decreasing = all(a > b for a, b in zip(errs, errs[1:]))
+    rows.append({"check": "lambda_N_trend", "value": errs, "bound": "strictly decreasing",
+                 "passed": decreasing})
     return rows
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
-from .errors import ParameterError, number, reject_unknown_keys
+from .errors import ParameterError, integer, number, reject_unknown_keys
 from .geometry import TorusConfig, Vertex, ring_sizes, torus_distance
 
 LOG2X4 = 4.0 * math.log(2.0)
@@ -279,8 +279,7 @@ class ModelConfig:
 
     def __post_init__(self):
         lambda_of_c(self.c)  # c = 0 is allowed as the degenerate empty graph
-        if self.seed < 0:  # numpy's seeding would raise only when the graph is sampled
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        self.seed = integer(self.seed, "seed", 0)  # numpy's seeding would fail only at sampling
 
 
 def ring_scale(c: float, N: int) -> np.ndarray:

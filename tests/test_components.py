@@ -77,7 +77,7 @@ class TestLargestComponent:
     def test_matches_exploration_oracle(self, N, lam, w, seed):
         g = sample_graph(ModelConfig(TorusConfig(N), c_of_lambda(lam), w, seed))
         traces = component_decomposition(g, rng_for(seed))
-        expect = sorted((t.T for t in traces), reverse=True)
+        expect = sorted(map(len, traces), reverse=True)
         assert largest_component(g).sizes.tolist() == expect
 
     @pytest.mark.parametrize("N, lam, w, seed, digest", [
@@ -103,7 +103,7 @@ class TestLargestComponent:
 
 
 def oracle_sizes(g):
-    return sorted((t.T for t in component_decomposition(g, rng_for(0))), reverse=True)
+    return sorted(map(len, component_decomposition(g, rng_for(0))), reverse=True)
 
 
 class TestHooking:
@@ -196,16 +196,16 @@ class TestHooking:
 class TestExploration:
     def test_isolated_vertex(self):
         tr = explore_component(make_graph(2, []), 0, rng_for(0))
-        assert tr.T == 1
-        assert tr.steps[0].activated == 0
-        assert tr.steps[0].active == 0
+        assert len(tr) == 1
+        assert tr[0].activated == 0
+        assert tr[0].active == 0
 
     def test_path_of_three(self):
         # 0 - 1 - 2 explored from the endpoint: X = (1, 1, 0)
         g = make_graph(2, [(0, 1), (1, 2)])
         tr = explore_component(g, 0, rng_for(1))
-        assert tr.T == 3
-        assert [s.activated for s in tr.steps] == [1, 1, 0]
+        assert len(tr) == 3
+        assert [s.activated for s in tr] == [1, 1, 0]
 
     def test_recursion_invariant_and_stopping_time(self):
         # |S_i| = X_1 + ... + X_i - (i - 1) at every step; the trace stops
@@ -214,18 +214,18 @@ class TestExploration:
             g = sample_graph(ModelConfig(TorusConfig(7), 0.9, seed=seed))
             tr = explore_component(g, int(seed) % g.n_vertices, rng_for(seed))
             acc = 0
-            for step in tr.steps:
+            for i, step in enumerate(tr, 1):
                 acc += step.activated
-                assert step.active == acc - (step.i - 1)
-                if step.i < tr.T:
+                assert step.active == acc - (i - 1)
+                if i < len(tr):
                     assert step.active > 0
-            assert tr.steps[-1].active == 0
+            assert tr[-1].active == 0
 
     def test_T_invariant_under_tie_breaking(self):
         g = sample_graph(ModelConfig(TorusConfig(8), 1.2, seed=11))
-        ref = explore_component(g, 0, rng_for(0)).T
+        ref = len(explore_component(g, 0, rng_for(0)))
         for seed in range(100):
-            assert explore_component(g, 0, rng_for(seed + 1)).T == ref
+            assert len(explore_component(g, 0, rng_for(seed + 1))) == ref
 
     def test_T_matches_union_find(self):
         for seed in range(50):
@@ -233,7 +233,7 @@ class TestExploration:
             cs = largest_component(g)
             sizes = {}
             for v in range(g.n_vertices):
-                sizes[v] = explore_component(g, v, rng_for(seed)).T
+                sizes[v] = len(explore_component(g, v, rng_for(seed)))
             # group by component via repeated exploration from each vertex
             assert max(sizes.values()) == cs.largest
 
@@ -242,21 +242,21 @@ class TestDecomposition:
     def test_empty_graph(self):
         traces = component_decomposition(make_graph(2, []), rng_for(0))
         assert len(traces) == 4
-        assert all(t.T == 1 for t in traces)
+        assert all(len(t) == 1 for t in traces)
 
     def test_complete_graph(self):
         n = 4
         edges = [(a, b) for a in range(n) for b in range(a + 1, n)]
         traces = component_decomposition(make_graph(2, edges), rng_for(0))
-        assert len(traces) == 1 and traces[0].T == n
+        assert len(traces) == 1 and len(traces[0]) == n
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_union_find_multiset(self, seed):
         g = sample_graph(ModelConfig(TorusConfig(8), 0.9, seed=seed))
         traces = component_decomposition(g, rng_for(seed))
-        covered = [v for t in traces for v in t.vertices()]
+        covered = [s.chosen for t in traces for s in t]
         assert sorted(covered) == list(range(g.n_vertices))
-        assert sum(t.T for t in traces) == g.n_vertices
-        got = sorted(t.T for t in traces)
+        assert sum(map(len, traces)) == g.n_vertices
+        got = sorted(map(len, traces))
         expect = sorted(largest_component(g).sizes.tolist())
         assert got == expect

@@ -94,6 +94,16 @@ class TestTorusDistance:
             TorusConfig(46341)
         assert TorusConfig(46340).n_vertices == 46340**2
 
+    @pytest.mark.parametrize("N", [2.5, 8.9, float("nan")])
+    def test_rejects_fractional_or_nan_side(self, N):
+        # int() would build N = 2 from 2.5, 8 from 8.9, and raise a bare ValueError on NaN
+        with pytest.raises(ParameterError, match="side length must be a whole number"):
+            TorusConfig(N)
+
+    def test_whole_float_side_builds(self):
+        cfg = TorusConfig(8.0)
+        assert cfg.N == 8 and type(cfg.N) is int
+
     def test_rejects_invalid_vertex(self):
         cfg = TorusConfig(5)
         with pytest.raises(ValueError):

@@ -220,9 +220,14 @@ class TestRunExperiment:
                 workers.append(max_workers)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
         assert run_experiment(small_plan(), threads=64).to_csv() == run_experiment(small_plan()).to_csv()
         run_experiment(small_plan(replicates=1), threads=64)  # one worker: no pool
         assert workers == [3]
+        # nor the CPUs
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        run_experiment(small_plan(), threads=64)
+        assert workers == [3, 2]
 
     @pytest.mark.parametrize("plan,expected", [
         ({"N": 30, "lambda": 2.0, "replicates": 3, "seed": 2024}, [
@@ -402,9 +407,6 @@ class TestVerifyCoupling:
         assert rows and all(r["passed"] for r in rows)
         checks = {r["check"] for r in rows}
         assert checks == {"tv_bound", "lambda_N_expansion", "lambda_N_trend"}
-
-    def test_empty_grids(self):
-        assert verify_coupling(tv_grid=(), lambda_n_sweep=()) == []
 
 
 class TestCLI:
@@ -605,7 +607,7 @@ class TestCLI:
         pytest.param(["simulate"], {"N": 10, "lambda": 2.0, "seed": -1}, "seed must be an integer >= 0",
                      id="plan-seed-negative"),
         pytest.param(["export-graph", "--N", "8", "--lambda", "2", "--out-prefix", "unused", "--seed", "-1"],
-                     None, "seed must be >= 0", id="export-seed-negative"),
+                     None, "seed must be an integer >= 0", id="export-seed-negative"),
         pytest.param(["branching", "borel", "--cap", "0"], None, "n, kmax and cap must be >= 1",
                      id="branching-cap-0"),
         pytest.param(["branching", "identity", "--samples", "0"], None, "n and cap must be >= 1",

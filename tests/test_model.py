@@ -21,6 +21,7 @@ from torusgraph.model import (
     lambda_N,
     lambda_of_c,
     mean_degree,
+    ring_scale,
     sample_graph,
     sample_graph_reference,
     slot_table,
@@ -276,6 +277,12 @@ class TestSampleGraph:
         n = N * N
         assert g.edge_count == n * (n - 1) // 2
 
+    def test_fractional_seed_refused_when_built(self):
+        # numpy would raise a TypeError only when the graph is sampled
+        with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+            ModelConfig(TorusConfig(4), 0.5, seed=1.5)
+        assert ModelConfig(TorusConfig(4), 0.5, seed=3.0).seed == 3
+
     def test_deterministic_given_seed(self):
         m = ModelConfig(TorusConfig(20), 0.9, WeightSpec.discrete([1, 2], [0.5, 0.5]), seed=77)
         g1, g2 = sample_graph(m), sample_graph(m)
@@ -411,6 +418,36 @@ class TestSampleGraph:
         diff = fast[iu, ju] - ref[iu, ju]
         sd = np.sqrt(np.maximum(fast[iu, ju] + ref[iu, ju], 1.0))
         assert np.all(np.abs(diff) < 5 * sd)
+
+    @pytest.mark.parametrize("N, w", [
+        pytest.param(4, WeightSpec.discrete([0.5, 2.0], [0.5, 0.5]), id="4"),
+        pytest.param(5, WeightSpec.truncated_exponential(1.0, 8.0), id="5"),
+    ])
+    def test_edges_independent_given_weights(self, N, w):
+        # given its weights, a graph's edges are independent, so its edge
+        # count E has variance sigma^2 = sum p(1 - p) about mu = sum p.  A
+        # sampler that shares one thinning uniform between proposals keeps
+        # every marginal but inflates sum (E - mu)^2 / sum sigma^2 above 1;
+        # its excess sum [(E - mu)^2 - sigma^2] has mean 0, tested by a
+        # batch-means z over 20 batches of 200 graphs (two cases: |z| < 4)
+        c, reps, batches = 0.9, 4000, 20
+        cfg = TorusConfig(N)
+        m = ModelConfig(cfg, c, w)
+        iu, ju = np.triu_indices(N * N, k=1)
+        d = cfg.offset_dist
+        scale = ring_scale(c, N)[d[np.abs(iu // N - ju // N)] + d[np.abs(iu % N - ju % N)] - 1]
+        weights = np.empty((reps, N * N))
+        edges = np.empty(reps)
+        for s in range(reps):
+            g = sample_graph(replace(m, seed=s))
+            weights[s] = g.weights
+            edges[s] = g.edge_count
+        p = np.minimum(scale * weights[:, iu] * weights[:, ju], 1.0)
+        mu, var = p.sum(axis=1), (p * (1 - p)).sum(axis=1)
+        excess = ((edges - mu) ** 2 - var).reshape(batches, -1).sum(axis=1)
+        z = excess.mean() / (excess.std(ddof=1) / math.sqrt(batches))
+        ratio = ((edges - mu) ** 2).sum() / var.sum()
+        assert abs(z) < 4.0, (ratio, z)
 
     @pytest.mark.parametrize("N, c", [(3, 0.9), (4, 0.9), (4, 5.0)])
     def test_reference_is_the_pairwise_loop(self, N, c):
