@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import RegimeError
 from .model import WeightSpec
@@ -41,6 +40,7 @@ def borel_tail(lambda_prime: float, k: int | np.ndarray) -> float | np.ndarray:
     stopping rule used here: the first term past j = K + 50 / alpha
     below 1e-16 of the sum so far.  Each smaller k adds its terms j = k
     .. K - 1 from one reverse cumsum, and P{T >= 1} is exactly 1.
+    scipy.special is imported here, as only `branching borel` calls this.
     """
     if not 0 < lambda_prime < 1:
         raise RegimeError(f"Borel tail needs lambda' in (0,1), got {lambda_prime}")
@@ -49,6 +49,7 @@ def borel_tail(lambda_prime: float, k: int | np.ndarray) -> float | np.ndarray:
         raise ValueError("k must be >= 1")
     alpha = lambda_prime - 1.0 - math.log(lambda_prime)
     log_lp = math.log(lambda_prime)
+    from scipy.special import gammaln  # ~0.25 s and ~25 MB if it is the first scipy module
 
     def terms(j):
         return np.exp(-lambda_prime * j + (j - 1) * (log_lp + np.log(j)) - gammaln(j + 1))
@@ -184,7 +185,7 @@ def binomial_poisson_tv(n: int, lam: float) -> float:
         raise ValueError(f"need 0 <= lambda <= n, got lambda={lam}, n={n}")
     if lam == 0:
         return 0.0
-    from scipy.stats import binom, poisson  # ~0.6 s and ~21 MB on first import
+    from scipy.stats import binom, poisson  # ~1 s and ~70 MB if it is the first scipy module
     k = np.arange(0, n + 1)
     b = binom.pmf(k, n, lam / n)
     q = poisson.pmf(k, lam)

@@ -15,7 +15,6 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,7 +194,10 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
     """
     # a fork-started pool forks them all at its first map
     workers = min(threads, plan.replicates, os.cpu_count() or 1)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported only when a pool starts
+        pool = ProcessPoolExecutor(max_workers=workers)
     run = pool.map if pool else map
     with pool or contextlib.nullcontext():
         points = [_run_point(plan, pi, p, run) for pi, p in enumerate(plan.sweep)]
@@ -296,7 +298,7 @@ def identity_check(lam: float, w: WeightSpec, n: int, cap: int,
         raise ParameterError(f"lambda must give 0 <= lambda * E(W^2) < 1, got {lam} * "
                              f"{w.second_moment:g} = {mean_offspring:g}")
     tilde = w.size_biased  # B1's root law: raises here unless E W > 0
-    from scipy.stats import ks_2samp  # ~0.6 s and ~21 MB on first import
+    from scipy.stats import ks_2samp  # ~1 s and ~70 MB if it is the first scipy module
     roots = tilde.sample(n, rng)
     b = np.stack([np.fromiter((simulate_B1(float(x), lam, w, cap, rng) for x in roots), np.int64, n),
                   progeny_batch(lam, w, n, cap, rng)])

@@ -19,10 +19,69 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import AssumptionError, ParameterError, RegimeError
 from .model import WeightSpec
+
+
+def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """A root of f in [a, b] by Brent's method (Brent 1973, ch. 4), step
+    for step as scipy.optimize.brentq, whose C loop it ports with the same
+    comparisons and float operations in the same order, so that the root
+    is the same float.  An end where f is 0 is returned; ends of one sign,
+    a NaN value of f and no convergence in 100 iterations raise
+    AssumptionError.  Ported so that the constants load no scipy."""
+
+    def fx(x: float) -> float:
+        v = float(f(x))
+        if math.isnan(v):
+            raise AssumptionError(f"root finder: f is NaN at x={x!r}")
+        return v
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise AssumptionError(f"root finder: f({a!r}) and f({b!r}) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # make xcur the best of the three points
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C gets an inf or NaN step, which fails the test below
+                stry = math.inf
+            # min() differs from C's MIN only on equal arguments, where the test is the same
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # a short step: take it
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fx(xcur)
+    raise AssumptionError(f"root finder: no convergence in 100 iterations in [{a!r}, {b!r}]")
 
 
 def subcritical_constant(lam: float) -> float:
@@ -51,7 +110,7 @@ def supercritical_beta(lam: float) -> float:
         return -math.expm1(-lam * b) - b
 
     # f > 0 just above 0 (slope lambda - 1 > 0), f(1) = -e^{-lambda} < 0
-    root = brentq(f, 1e-300, 1.0, xtol=1e-16, rtol=8.9e-16)
+    root = _brentq(f, 1e-300, 1.0, xtol=1e-16, rtol=8.9e-16)
     assert abs(f(root)) < 1e-12
     return float(root)
 
@@ -93,7 +152,7 @@ def weighted_beta_profile(lam: float, w: WeightSpec):
         # g is concave with g'(0) = crit - 1 > 0 and g(EW) < 0
         hi = w.mean
         lo = 1e-300
-        b_star = float(brentq(g, lo, hi, xtol=1e-16, rtol=8.9e-16))
+        b_star = float(_brentq(g, lo, hi, xtol=1e-16, rtol=8.9e-16))
         assert abs(g(b_star)) < 1e-10
 
     beta_hat = w.expectation(lambda y: 1.0 - np.exp(-lam * y * b_star))
@@ -156,7 +215,7 @@ def theorem3_constants(lam: float, w: WeightSpec):
     r_hi = residual(hi)
     if r_hi >= 0 and hi < 1.0 / crit:
         return None, None, None  # the root lies where the tilt overflows
-    y = hi if r_hi >= 0 else float(brentq(residual, 1.0, hi, xtol=1e-15, rtol=8.9e-16))
+    y = hi if r_hi >= 0 else float(_brentq(residual, 1.0, hi, xtol=1e-15, rtol=8.9e-16))
     assert abs(residual(y)) < 1e-10 * y
     s = lam * M * (y - 1.0)
     gamma = 1.0 / (lam * tilt_moments(w, s, 2))

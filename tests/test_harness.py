@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import hashlib
@@ -209,7 +210,8 @@ class TestRunExperiment:
     def test_pool_never_outnumbers_replicates(self, monkeypatch):
         # a fork-started pool forks every worker at its first map; the
         # stand-in records the count asked for and maps serially, so no
-        # process starts
+        # process starts.  run_experiment imports the pool class from
+        # concurrent.futures only when it starts one, so it is patched there
         workers = []
 
         class SerialPool(contextlib.nullcontext):
@@ -219,7 +221,7 @@ class TestRunExperiment:
                 super().__init__()
                 workers.append(max_workers)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
         assert run_experiment(small_plan(), threads=64).to_csv() == run_experiment(small_plan()).to_csv()
         run_experiment(small_plan(replicates=1), threads=64)  # one worker: no pool
@@ -784,6 +786,33 @@ def test_import_leaves_scipy_stats_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0.011859375005987985"
+
+
+def test_simulate_path_loads_no_scipy(tmp_path):
+    # simulate, theory and export-graph load no scipy module: the limit
+    # constants come from theory._brentq, and each scipy submodule loads
+    # where it is read, scipy.sparse by Graph.adjacency (the exploration
+    # oracle) and scipy.special by borel_tail (branching borel)
+    code = (
+        "import sys\n"
+        "import torusgraph.cli\n"
+        "from torusgraph import branching, harness, model, theory\n"
+        "theory.build_report(2.0, model.WeightSpec.constant())\n"
+        "theory.build_report(0.3, model.WeightSpec.truncated_exponential(1.0, 8.0))\n"
+        "harness.run_experiment(harness.ExperimentPlan.from_dict({'N': 20, 'lambda': 2.0, 'replicates': 2})).to_csv()\n"
+        "assert torusgraph.cli.main(['export-graph', '--N', '20', '--lambda', '2', '--out-prefix', sys.argv[1]]) == 0\n"
+        "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+        "assert not loaded, loaded\n"
+        "g = model.sample_graph(model.ModelConfig(model.TorusConfig(20), 0.5))\n"
+        "assert g.adjacency.nnz == 2 * g.edge_count\n"
+        "assert 'scipy.sparse' in sys.modules\n"
+        "print(repr(branching.borel_tail(0.5, 3)))\n"
+        "assert 'scipy.special' in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "g")], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout.splitlines()[-1]) == pytest.approx(1 - math.exp(-0.5) - 0.5 * math.exp(-1.0), rel=1e-12)
 
 
 def test_readme_names_resolve():

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import math
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusgraph.errors import RegimeError
+from torusgraph import theory
+from torusgraph.errors import AssumptionError, RegimeError
 from torusgraph.model import WeightSpec
 from torusgraph.theory import (
+    _brentq,
     build_report,
     classify_regime,
     critical_parameter,
@@ -21,6 +24,87 @@ from torusgraph.theory import (
 )
 
 W12 = WeightSpec.discrete([1.0, 2.0], [0.5, 0.5])
+
+
+class TestBrentq:
+    """theory._brentq against its oracle scipy.optimize.brentq, of whose C
+    loop it is a port: every root must be the same float, bit for bit."""
+
+    LAWS = [WeightSpec.constant(), W12, WeightSpec.truncated_exponential(1.0, 8.0)]
+    CRITS = [*np.linspace(0.05, 0.95, 19), *np.linspace(1.05, 8.0, 40)]  # lambda E(W^2)
+
+    def test_package_equations_match_scipy(self, monkeypatch):
+        # every call build_report makes, with theory's own equations and
+        # brackets, is solved by both
+        from scipy.optimize import brentq
+
+        solved = []
+
+        def both(f, a, b, xtol, rtol):
+            root = _brentq(f, a, b, xtol, rtol)
+            solved.append((f.__qualname__.split(".")[0], root.hex(), brentq(f, a, b, xtol=xtol, rtol=rtol).hex()))
+            return root
+
+        monkeypatch.setattr(theory, "_brentq", both)
+        for w in self.LAWS:
+            for crit in self.CRITS:
+                build_report(crit / w.second_moment, w)
+        assert [s for s in solved if s[1] != s[2]] == []
+        # W == 1's subcritical root is its bracket end 1/crit, taken without a search
+        assert collections.Counter(s[0] for s in solved) == {
+            "supercritical_beta": 40, "weighted_beta_profile": 120, "theorem3_constants": 38}
+
+    def test_seeded_smooth_functions_match_scipy(self):
+        # smooth functions on random brackets, some scaled so far down that
+        # the interpolation's denominator underflows to 0 and C's inf step
+        # bisects; a bracket scipy refuses, the port must refuse too
+        from scipy.optimize import brentq
+
+        rng = np.random.default_rng(29)
+        compared = refused = 0
+        for i in range(600):
+            c = rng.normal(size=4)
+            scale = 10.0 ** rng.uniform(-300, 100)
+            shape = i % 3
+            if shape == 0:
+                def f(x): return scale * (c[0] + c[1] * x + c[2] * math.sin(3 * x) + c[3] * x**3)
+            elif shape == 1:
+                def f(x): return scale * (math.exp(c[0] * x) - 1.5 + c[1] * x)
+            else:
+                def f(x): return scale * math.tanh(2 * c[0] * (x - c[1])) ** (1 + 2 * (i % 2))
+            a, b = sorted(rng.uniform(-3, 3, 2))
+            xtol, rtol = [(1e-16, 8.9e-16), (1e-12, 8.9e-16), (1e-6, 1e-10)][i // 3 % 3]
+            try:
+                expected = brentq(f, a, b, xtol=xtol, rtol=rtol)
+            except (ValueError, RuntimeError):
+                with pytest.raises(AssumptionError):
+                    _brentq(f, a, b, xtol, rtol)
+                refused += 1
+                continue
+            assert _brentq(f, a, b, xtol, rtol).hex() == expected.hex(), (i, a, b)
+            compared += 1
+        assert compared >= 250 and refused >= 100
+
+    @pytest.mark.parametrize("a,b", [(1.0, 2.0), (0.0, 1.0)])
+    def test_zero_at_an_end_is_returned(self, a, b):
+        assert _brentq(lambda x: x - 1.0, a, b, 1e-12, 8.9e-16) == 1.0
+
+    # each case scipy refuses too: a ValueError, as AssumptionError is, or
+    # for no convergence a RuntimeError
+    @pytest.mark.parametrize("f,a,b,xtol,match", [
+        (lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, "same sign"),
+        (lambda x: math.nan if x > 0.9 else x - 0.5, 0.0, 1.0, 1e-12, "NaN"),  # at an end
+        (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0, 1e-12, "NaN"),  # at the first step, 0.5
+        # a triple root at 0 and a tolerance of 1e-300 take more than 100 steps
+        (lambda x: x**3, -1.0, 2.0, 1e-300, "100 iterations"),
+    ], ids=["same-sign", "nan-at-end", "nan-inside", "no-convergence"])
+    def test_refusals_raise_assumption_error(self, f, a, b, xtol, match):
+        from scipy.optimize import brentq
+
+        with pytest.raises((ValueError, RuntimeError)):
+            brentq(f, a, b, xtol=xtol, rtol=8.9e-16)
+        with pytest.raises(AssumptionError, match=match):
+            _brentq(f, a, b, xtol, 8.9e-16)
 
 
 class TestSubcriticalConstant:
