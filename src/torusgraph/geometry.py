@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, integer
 
 Vertex = tuple[int, int]
 ContinuousPoint = tuple[float, float]
@@ -26,13 +26,9 @@ class TorusConfig:
     cached there once per N."""
 
     def __init__(self, N: int):
-        if N <= 1:
-            raise ParameterError(f"side length must be > 1, got {N}")
-        if N > 46340:  # vertices are numbered in int32, so N^2 < 2^31
-            raise ParameterError(f"side length must be <= 46340, got {N}")
-        if not float(N).is_integer():  # after the range checks: float(10**400) overflows
-            raise ParameterError(f"side length must be a whole number, got {N}")
-        self.N = int(N)
+        self.N = integer(N, "N", 2)
+        if self.N > 46340:  # vertices are numbered in int32, so N^2 < 2^31
+            raise ParameterError(f"N must be <= 46340, got {N!r}")
         i = np.arange(self.N)
         # folded distance d_N(i) of a single-coordinate offset i; for even
         # N both branches give N/2 at i = N/2.  |u1 - v1| <= N - 1, so
@@ -45,8 +41,8 @@ class TorusConfig:
 
     @property
     def max_dist(self) -> int:
-        """Largest r with ring_size(r) > 0."""
-        return self.N if self.N % 2 == 0 else 2 * (self.N // 2)
+        """Largest r with a nonempty ring: N for even N, N - 1 for odd N."""
+        return 2 * (self.N // 2)
 
     def __repr__(self) -> str:
         return f"TorusConfig(N={self.N})"
@@ -65,22 +61,13 @@ def torus_distance(u: Vertex, v: Vertex, cfg: TorusConfig) -> int:
     return int(d[(u[0] - v[0]) % cfg.N] + d[(u[1] - v[1]) % cfg.N])
 
 
-def ring_size(r: int, cfg: TorusConfig) -> int:
-    """Number of vertices at distance exactly r from any fixed vertex.
-
-    Rings beyond max_dist (possible for odd N, where the formula gives 0
-    at r = N) are valid empty rings.
-    """
-    if not 1 <= r <= cfg.N:
-        raise ValueError(f"ring index r={r} outside [1, {cfg.N}]")
-    return int(ring_sizes(cfg)[r - 1])
-
-
 def ring_sizes(cfg: TorusConfig) -> np.ndarray:
-    """ring_size for r = 1..N as an array (index 0 <-> r = 1).
+    """Number of vertices at distance exactly r from any fixed vertex, for
+    r = 1..N as an array (index 0 <-> r = 1).
 
     Closed form 4 min(r, N - r), except for even N at r = N/2, where the
     two folds meet (2(N - 1)), and at r = N, the unique antipodal vertex.
+    For odd N the ring r = N is a valid empty ring.
     """
     N = cfg.N
     r = np.arange(1, N + 1, dtype=np.int64)

@@ -56,8 +56,7 @@ class SweepPoint:
     def __post_init__(self):  # a bad point fails when its plan is built, before any point runs
         if self.weights is None:
             self.weights = WeightSpec.constant().to_dict()
-        self.N = integer(self.N, "N", 2)  # N = 2 is the smallest torus
-        TorusConfig(self.N)
+        self.N = TorusConfig(self.N).N
         lambda_of_c(self.c)
         self.weight_spec()
 

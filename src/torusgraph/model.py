@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, integer, number, reject_unknown_keys
+from .errors import AssumptionError, ParameterError, integer, number, reject_unknown_keys
 from .geometry import TorusConfig, Vertex, ring_sizes, torus_distance
 
 LOG2X4 = 4.0 * math.log(2.0)
@@ -75,25 +75,26 @@ class WeightSpec:
 
     A law is read-only `atoms` and `masses`, so that
     E fn(W) = fn(atoms) @ masses, a sampler of W, and a sampler of its
-    size-biased law (see `size_biased`).  The atoms of a point mass or a
-    discrete law are its values, those of a truncated exponential its
-    Gauss-Legendre nodes.  All laws have bounded support, so every
-    exponential tilt E(W^k e^{sW}) is finite.
+    size-biased law (see `size_biased`).  The atoms are the law's atoms
+    of positive mass: those of a point mass or a discrete law are its
+    values, those of a truncated exponential its Gauss-Legendre nodes,
+    and an atom of mass 0 is dropped, as it is never drawn and fn may
+    overflow there.  All laws have bounded support, by default the
+    largest atom, so every exponential tilt E(W^k e^{sW}) is finite.
     """
 
-    def __init__(self, atoms: np.ndarray, masses: np.ndarray, sampler, support_bound: float,
-                 params: dict | None, tilde_sampler=None):
+    def __init__(self, atoms: np.ndarray, masses: np.ndarray, sampler, params: dict | None,
+                 tilde_sampler=None, support_bound: float | None = None):
+        live = masses > 0
+        atoms, masses = atoms[live], masses[live]
         atoms.flags.writeable = masses.flags.writeable = False
-        self.atoms = atoms
-        self.masses = masses
+        self.atoms, self.masses = atoms, masses
         self._sampler = sampler  # sampler(rng, n) -> n draws of W
         self._tilde_sampler = tilde_sampler  # the same for W's size-biased law, see size_biased
-        self.support_bound = support_bound
+        self.support_bound = bound = float(atoms.max()) if support_bound is None else support_bound
         self._params = params  # JSON form of the constructor call, see to_dict
-        if not support_bound * support_bound < math.inf:  # then no live atom's square overflows
-            raise ParameterError(f"E W^2 must be finite, but weights reach {support_bound:g}")
-        live = masses > 0  # expectation skips massless atoms, where fn may overflow
-        self._live = (atoms, masses) if live.all() else (atoms[live], masses[live])
+        if not bound * bound < math.inf:  # then no atom's square overflows
+            raise ParameterError(f"E W^2 must be finite, but weights reach {bound:g}")
         self.mean = self.expectation(lambda x: x)
         self.second_moment = self.expectation(lambda x: x**2)
 
@@ -105,7 +106,7 @@ class WeightSpec:
         if not 0 <= w < math.inf:
             raise ParameterError(f"weight must be nonnegative and finite, got {w}")
         return cls(np.array([w]), np.array([1.0]), lambda rng, n: np.full(n, w),
-                   w, {"kind": "constant", "value": w})
+                   {"kind": "constant", "value": w})
 
     @classmethod
     def discrete(cls, values, probs) -> "WeightSpec":
@@ -117,8 +118,7 @@ class WeightSpec:
             raise ParameterError("weights must be nonnegative and finite")
         if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-12):
             raise ParameterError("probabilities must be nonnegative and sum to 1")
-        # a value of probability 0 is never drawn, so it bounds no weight
-        return cls(values, probs, _discrete_sampler(values, probs), float(values[probs > 0].max()),
+        return cls(values, probs, _discrete_sampler(values, probs),
                    {"kind": "discrete", "values": values.tolist(), "probs": probs.tolist()})
 
     @classmethod
@@ -169,9 +169,9 @@ class WeightSpec:
                 bad = bad[z > upper]
             return y
 
-        # dividing by total absorbs quadrature round-off
-        return cls(nodes, qw / total, sampler, upper,
-                   {"kind": "truncated_exponential", "rate": rate, "upper": upper}, tilde_sampler)
+        # dividing by total absorbs quadrature round-off; draws pass the nodes, up to upper
+        return cls(nodes, qw / total, sampler, {"kind": "truncated_exponential", "rate": rate, "upper": upper},
+                   tilde_sampler, upper)
 
     # -- JSON form ---------------------------------------------------------
 
@@ -210,10 +210,8 @@ class WeightSpec:
     # -- queries -----------------------------------------------------------
 
     def expectation(self, fn) -> float:
-        """E[fn(W)] with fn vectorized over arrays: the sum over the atoms
-        of positive mass."""
-        atoms, masses = self._live
-        return float(fn(atoms) @ masses)
+        """E[fn(W)] with fn vectorized over arrays: the sum over the atoms."""
+        return float(fn(self.atoms) @ self.masses)
 
     def moment(self, k: int) -> float:
         return self.expectation(lambda x: x**k)
@@ -226,23 +224,24 @@ class WeightSpec:
     @functools.cached_property
     def size_biased(self) -> "WeightSpec":
         """Law of the size-biased weight, y mu(dy) / E W: W's own atoms
-        with masses atoms * masses / E W.  It is defined for the laws the
-        constructors build and drawn exactly: by the sampler the law
-        supplies (the truncated exponential's), else from those masses, as
-        a point mass or a discrete law takes only the values in its atoms.
-        A one-atom law is its own size-biased law.  A size-biased law has
+        with masses atoms * masses / E W (an atom at 0 drops out), and
+        W's support bound.  It is defined for the laws the constructors build
+        and drawn exactly: by the sampler the law supplies (the truncated
+        exponential's), else from those masses, as a point mass or a
+        discrete law takes only the values in its atoms.  A one-atom law
+        is its own size-biased law.  A size-biased law of more atoms has
         none here and raises ValueError: its atoms may be quadrature nodes,
         and no program path reads the size-biased law of one."""
         M = self.mean
         if M <= 0:
-            raise ValueError("size biasing needs E W > 0")
+            raise AssumptionError("size biasing needs E W > 0")
         if self.atoms.size == 1:
             return self
         if self._params is None:
             raise ValueError("a size-biased weight law has no size-biased law")
         masses = self.atoms * self.masses / M
         sampler = self._tilde_sampler or _discrete_sampler(self.atoms, masses)
-        return WeightSpec(self.atoms, masses, sampler, self.support_bound, None)
+        return WeightSpec(self.atoms, masses, sampler, None, support_bound=self.support_bound)
 
     def __repr__(self) -> str:
         if self._params is None:

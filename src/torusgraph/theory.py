@@ -193,7 +193,7 @@ def theorem3_constants(lam: float, w: WeightSpec):
         raise RegimeError("needs lambda > 0")
     M = w.mean
     if M <= 0:
-        raise AssumptionError("E W must be positive")
+        raise AssumptionError("size biasing needs E W > 0")
 
     def residual(y: float) -> float:
         s = lam * M * (y - 1.0)
@@ -250,7 +250,7 @@ def build_report(lam: float, w: WeightSpec) -> TheoryReport:
     if lam * w.mean <= 0:
         return report  # degenerate empty-graph model (lambda = 0 or W == 0), no limit constants
 
-    homogeneous = w.atoms[w.masses > 0].tolist() == [1.0]  # W == 1: one atom of positive mass, at 1
+    homogeneous = w.atoms.tolist() == [1.0]  # W == 1
     if regime == "supercritical":
         b_star, beta_hat = weighted_beta_profile(lam, w)
         report.b_star, report.beta_hat = b_star, beta_hat

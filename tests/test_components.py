@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from torusgraph.components import (
     largest_component,
 )
 from torusgraph.geometry import TorusConfig
-from torusgraph.model import Graph, ModelConfig, WeightSpec, c_of_lambda, sample_graph
+from torusgraph.model import Graph, ModelConfig, WeightSpec, c_of_lambda, ring_scale, sample_graph
 
 
 def rng_for(seed):
@@ -260,3 +262,76 @@ class TestDecomposition:
         got = sorted(map(len, traces))
         expect = sorted(largest_component(g).sizes.tolist())
         assert got == expect
+
+
+def exact_largest_pmf(N, c, w):
+    """Exact P(C1 = k), k = 0..N^2 (0 at k = 0), of the graph on the
+    N-torus with i.i.d. weights from w: a mixture, over the weight
+    vectors, of the law given the weights, by a recursion over vertex
+    subsets S (bit masks), all weight vectors at once.  With n(T, U) the
+    chance of no edge between T and U, and T running over the subsets of
+    S that hold S's lowest vertex:
+        P(S connected) = 1 - sum_{T != S} P(T connected) n(T, S - T),
+        Q_k(S) = sum_{|T| <= k} P(T connected) n(T, S - T) Q_k(S - T),
+    where Q_k(S) = P(every component within S has at most k vertices),
+    so P(C1 <= k) = Q_k(all vertices).  Weight vectors that a symmetry
+    of the torus distance maps onto each other have one law, so one per
+    orbit is solved, weighted by the orbit's chance."""
+    n, cfg = N * N, TorusConfig(N)
+    i, j = np.divmod(np.arange(n), N)
+    d = cfg.offset_dist
+    a = ring_scale(c, N)[d[(i[:, None] - i) % N] + d[(j[:, None] - j) % N] - 1]  # diagonal unused
+    maps = []  # the vertex maps that keep every distance: reflections, translations, the coordinate swap
+    for s, r, t, u in itertools.product((1, -1), (1, -1), range(N), range(N)):
+        x, y = (s * i + t) % N, (r * j + u) % N
+        maps += [x * N + y, y * N + x]
+    A = w.atoms.size
+    V = np.array(list(itertools.product(range(A), repeat=n)))  # every weight vector, as atom indices
+    orbit = (V[:, maps] * A ** np.arange(n)).sum(axis=2).min(axis=1)
+    _, first, which = np.unique(orbit, return_index=True, return_inverse=True)
+    chance = np.bincount(which, weights=w.masses[V].prod(axis=1))
+    weights = w.atoms[V[first]]  # (B, n), one weight vector per orbit
+    q = 1 - np.minimum(a * weights[:, :, None] * weights[:, None, :], 1.0)  # no edge, so no log(0)
+    full = (1 << n) - 1
+    member = (np.arange(full + 1)[:, None] >> np.arange(n) & 1).astype(bool)
+    size = member.sum(axis=1)
+    none = np.ones((full + 1, len(chance), n))  # none[U][:, u]: no edge from u into U
+    for U in range(1, full + 1):
+        none[U] = none[U & (U - 1)] * q[:, :, (U & -U).bit_length() - 1]
+    conn = np.ones((full + 1, len(chance)))
+    Q = np.ones((full + 1, n + 1, len(chance)))
+    k = np.arange(n + 1)
+    for S in range(1, full + 1):
+        rest = S & (S - 1)  # S less its lowest vertex
+        sub = np.arange(rest + 1)
+        T = (S ^ rest) | sub[sub & rest == sub]  # ascending, so S itself is last
+        head = conn[T] * np.where(member[T][:, :, None], none[S ^ T].transpose(0, 2, 1), 1.0).prod(axis=1)
+        conn[S] = head[-1] = 1 - head[:-1].sum(axis=0)
+        Q[S] = (head[:, None, :] * Q[S ^ T] * (k >= size[T][:, None])[:, :, None]).sum(axis=0)
+    return np.diff(Q[full], prepend=0.0, axis=0) @ chance
+
+@pytest.mark.parametrize("w", [
+    WeightSpec.constant(),
+    # p = 1 between two weight-2 neighbours: layers, thinning and a group that takes every slot
+    WeightSpec.discrete([0.5, 2.0], [0.5, 0.5]),
+], ids=["constant", "discrete0.5-2"])
+def test_largest_component_exact_law(w):
+    # sample_graph and largest_component together: C1 of 6000 graphs at
+    # N = 3, c = 0.9 (seeds 0-5999) against its exact law, by chi-square
+    # over bins of expected count >= 5; p > 1e-3 in each of the two cases
+    from scipy.stats import chisquare
+
+    N, c, reps = 3, 0.9, 6000
+    pmf = exact_largest_pmf(N, c, w)
+    assert abs(pmf.sum() - 1) < 1e-12 and pmf[0] == 0
+    m = ModelConfig(TorusConfig(N), c, w)
+    counts = np.bincount([largest_component(sample_graph(replace(m, seed=s))).largest for s in range(reps)],
+                         minlength=N * N + 1)
+    edges = [0]  # bins [edges[b], edges[b + 1]) of k, each of expected count >= 5
+    for k in range(1, N * N + 2):
+        if reps * pmf[edges[-1]:k].sum() >= 5:
+            edges.append(k)
+    edges[-1] = N * N + 1  # a short tail joins the last bin
+    expect = reps * np.add.reduceat(pmf, edges[:-1])
+    got = np.add.reduceat(counts, edges[:-1])
+    assert chisquare(got, expect).pvalue > 1e-3, (got, expect)

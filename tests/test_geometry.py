@@ -10,7 +10,6 @@ from torusgraph.geometry import (
     TorusConfig,
     continuous_rho,
     kernel,
-    ring_size,
     ring_sizes,
     ring_vertices,
     torus_distance,
@@ -85,24 +84,29 @@ class TestTorusDistance:
         assert torus_distance(u, v, cfg) == torus_distance(v, u, cfg)
 
     def test_rejects_side_below_two(self):
-        with pytest.raises(ParameterError, match="side length must be > 1"):
+        with pytest.raises(ParameterError, match="N must be an integer >= 2"):
             TorusConfig(1)
 
     def test_rejects_side_past_int32_labels(self):
         # vertices are numbered in int32: N^2 = 46341^2 >= 2^31
-        with pytest.raises(ParameterError, match="side length must be <= 46340"):
+        with pytest.raises(ParameterError, match="N must be <= 46340"):
             TorusConfig(46341)
         assert TorusConfig(46340).n_vertices == 46340**2
 
     @pytest.mark.parametrize("N", [2.5, 8.9, float("nan")])
     def test_rejects_fractional_or_nan_side(self, N):
         # int() would build N = 2 from 2.5, 8 from 8.9, and raise a bare ValueError on NaN
-        with pytest.raises(ParameterError, match="side length must be a whole number"):
+        with pytest.raises(ParameterError, match="N must be an integer >= 2"):
             TorusConfig(N)
 
     def test_whole_float_side_builds(self):
         cfg = TorusConfig(8.0)
         assert cfg.N == 8 and type(cfg.N) is int
+
+    def test_rejects_string_side(self):
+        # a side is read by errors.integer, as every other count is
+        with pytest.raises(ParameterError, match="N must be an integer >= 2"):
+            TorusConfig("8")
 
     def test_rejects_invalid_vertex(self):
         cfg = TorusConfig(5)
@@ -112,10 +116,10 @@ class TestTorusDistance:
 
 class TestRingSize:
     def test_even_N_midpoint(self):
-        assert ring_size(2, TorusConfig(4)) == 6  # 2(N-1) at r = N/2
+        assert ring_sizes(TorusConfig(4))[1] == 6  # 2(N-1) at r = N/2
 
     def test_even_N_antipode(self):
-        assert ring_size(4, TorusConfig(4)) == 1
+        assert ring_sizes(TorusConfig(4))[3] == 1
 
     def test_odd_N_enumeration(self):
         # brute force over the 24 non-origin vertices of the 5-torus
@@ -126,7 +130,7 @@ class TestRingSize:
             if torus_distance((1, 1), v, cfg) == 2
         )
         assert count == 8
-        assert ring_size(2, cfg) == 8
+        assert ring_sizes(cfg)[1] == 8
 
     @pytest.mark.parametrize("N", range(3, 26))
     def test_total_and_enumeration(self, N):
@@ -144,14 +148,7 @@ class TestRingSize:
     def test_odd_N_empty_top_ring(self):
         # the closed form assigns zero vertices at r = N for odd N; this
         # is a valid empty ring, not an error
-        assert ring_size(5, TorusConfig(5)) == 0
-
-    def test_out_of_range(self):
-        cfg = TorusConfig(6)
-        with pytest.raises(ValueError):
-            ring_size(0, cfg)
-        with pytest.raises(ValueError):
-            ring_size(7, cfg)
+        assert ring_sizes(TorusConfig(5))[4] == 0
 
 
 class TestRingVertices:
@@ -176,7 +173,7 @@ class TestRingVertices:
                 if torus_distance(u, v, cfg) == r
             }
             got = ring_vertices(u, r, cfg)
-            assert len(got) == len(set(got)) == ring_size(r, cfg)
+            assert len(got) == len(set(got)) == ring_sizes(cfg)[r - 1]
             assert set(got) == expect
 
 

@@ -62,6 +62,13 @@ class TestWeightSpec:
         assert w.to_dict() == {"kind": "discrete", "values": [1.0, 1e200], "probs": [1.0, 0.0]}
         assert w.sample(5, rng_for(0)).tolist() == [1.0] * 5
 
+    def test_massless_atom_is_no_atom(self):
+        # a law is its atoms of positive mass, so one padded with a massless
+        # value is a one-atom law and its own size-biased law
+        w = WeightSpec.discrete([1.0, 100.0], [1.0, 0.0])
+        assert w.atoms.tolist() == [1.0] and w.masses.tolist() == [1.0]
+        assert w.size_biased is w
+
     def test_discrete_lln(self):
         w = WeightSpec.discrete([1.0, 2.0], [0.5, 0.5])
         x = w.sample(10**5, rng_for(1))
@@ -102,9 +109,11 @@ class TestWeightSpec:
         WeightSpec.truncated_exponential(1.0, 8.0),
     ], ids=["constant2", "discrete4", "trunc_exp8"])
     def test_size_biased_reweights_own_atoms(self, w):
+        # W's atom at 0 has size-biased mass 0, so the size-biased law lists it not
         tilde = w.size_biased
-        assert tilde.atoms.tolist() == w.atoms.tolist()
-        np.testing.assert_allclose(tilde.masses, w.atoms * w.masses / w.mean, rtol=0, atol=1e-15)
+        live = w.atoms * w.masses > 0
+        assert tilde.atoms.tolist() == w.atoms[live].tolist()
+        np.testing.assert_allclose(tilde.masses, w.atoms[live] * w.masses[live] / w.mean, rtol=0, atol=1e-15)
         assert tilde.mean == pytest.approx(w.second_moment / w.mean, rel=1e-12)
 
     def test_size_biased_twice(self):
