@@ -291,7 +291,8 @@ def exact_largest_pmf(N, c, w):
     _, first, which = np.unique(orbit, return_index=True, return_inverse=True)
     chance = np.bincount(which, weights=w.masses[V].prod(axis=1))
     weights = w.atoms[V[first]]  # (B, n), one weight vector per orbit
-    q = 1 - np.minimum(a * weights[:, :, None] * weights[:, None, :], 1.0)  # no edge, so no log(0)
+    # the chance of no edge, multiplied and never summed as log(1 - p), so p = 1 gives 0 and no 0 * -inf
+    q = 1 - np.minimum(a * weights[:, :, None] * weights[:, None, :], 1.0)
     full = (1 << n) - 1
     member = (np.arange(full + 1)[:, None] >> np.arange(n) & 1).astype(bool)
     size = member.sum(axis=1)
@@ -309,6 +310,7 @@ def exact_largest_pmf(N, c, w):
         conn[S] = head[-1] = 1 - head[:-1].sum(axis=0)
         Q[S] = (head[:, None, :] * Q[S ^ T] * (k >= size[T][:, None])[:, :, None]).sum(axis=0)
     return np.diff(Q[full], prepend=0.0, axis=0) @ chance
+
 
 @pytest.mark.parametrize("w", [
     WeightSpec.constant(),
