@@ -22,6 +22,8 @@ import numpy as np
 
 from .model import Graph
 
+BLOCK = 1 << 14  # edge rows per block when marking the vertices that have an edge
+
 
 @dataclass
 class ComponentSummary:
@@ -53,7 +55,10 @@ def largest_component(g: Graph) -> ComponentSummary:
     n = g.n_vertices
     e = g.pairs
     has_edge = np.zeros(n, dtype=bool)
-    has_edge[e.reshape(-1).astype(np.intp)] = True  # faster than indexing by int32 pairs
+    # by blocks of intp rows: indexing by int32 pairs is slower, and an
+    # intp copy of all of them (or `put`, which makes one) takes 10 MB at N=800
+    for k in range(0, len(e), BLOCK):
+        has_edge[e[k:k + BLOCK].reshape(-1).astype(np.intp)] = True
     new_id = np.cumsum(has_edge, dtype=np.int32)
     new_id -= 1
     del has_edge
@@ -68,13 +73,18 @@ def largest_component(g: Graph) -> ComponentSummary:
         parent = np.arange(r, dtype=np.int32)
         np.minimum.at(parent, hi, lo)
         # parent[v] <= v and roots are fixed points, so jumping ends; take,
-        # since indexing by an int32 array is slower
-        while True:
-            up = parent.take(parent)
-            if np.array_equal(up, parent):
-                break
-            parent = up
-        del up
+        # since indexing by an int32 array is slower.  After one full jump
+        # only the ids whose parent moved jump again: an id whose parent
+        # is a root stays put
+        up = parent.take(parent)
+        act = (up != parent).nonzero()[0]
+        parent = up
+        while act.size:
+            p = parent.take(act)
+            up = parent.take(p)
+            parent.put(act, up)
+            act = act.take((up != p).nonzero()[0])
+        del up, act
         label = np.cumsum(parent == np.arange(r, dtype=np.int32), dtype=np.int32)
         label -= 1
         r = int(label[-1]) + 1
@@ -82,12 +92,15 @@ def largest_component(g: Graph) -> ComponentSummary:
         del parent
         # float64 sums of vertex counts below 2^53 are exact
         count = np.bincount(label, count).astype(np.int64, copy=False)
-        lo, hi = label.take(lo), label.take(hi)
+        # rebound one at a time, so that no more than three edge arrays are alive at once
+        lo = label.take(lo)
+        hi = label.take(hi)
         del label
         cross = (lo != hi).nonzero()[0]  # indexing by a mask is slower
-        lo, hi = lo.take(cross), hi.take(cross)
+        lo = lo.take(cross)
+        hi = hi.take(cross)
         del cross
-        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi, out=hi)
     count.sort()
     return ComponentSummary(np.concatenate([count[::-1], singletons]))
 

@@ -417,16 +417,22 @@ class SlotTable:
     def __init__(self, cfg: TorusConfig):
         N = cfg.N
         self.N, self.n = N, cfg.n_vertices
-        di, dj = np.divmod(np.arange(1, self.n), N)
+        # int32 throughout, as TorusConfig keeps n < 2^31 (int16 would overflow past N = 16383)
+        di, dj = np.divmod(np.arange(1, self.n, dtype=np.int32), N)
         half = di * N + dj <= (-di % N) * N + (-dj % N)
-        d = cfg.offset_dist
+        d = cfg.offset_dist.astype(np.int32)
         dist = d[di] + d[dj]
-        order = np.argsort(2 * dist + ~half, kind="stable")  # by ring, H_r first
-        self.di, self.dj = di[order].astype(np.int32), dj[order].astype(np.int32)
-        self.self_inverse = (2 * self.di % N == 0) & (2 * self.dj % N == 0)
-        self.ring_start = np.searchsorted(dist[order], np.arange(cfg.max_dist + 2))
-        self.ring_full = np.diff(self.ring_start[1:])  # |F_r| of the nonempty rings r
         self.ring_len = np.bincount(dist[half], minlength=cfg.max_dist + 1)[1:]  # |H_r|
+        key = 2 * dist
+        key += ~half
+        del half
+        order = np.argsort(key, kind="stable")  # by ring, H_r first
+        del key
+        self.di = di = di[order]  # rebound one at a time: at most one stale copy is alive
+        self.dj = dj = dj[order]
+        self.self_inverse = (2 * di % N == 0) & (2 * dj % N == 0)
+        self.ring_start = np.searchsorted(dist[order], np.arange(cfg.max_dist + 2, dtype=np.int32))
+        self.ring_full = np.diff(self.ring_start[1:])  # |F_r| of the nonempty rings r
 
     def decode(self, key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(o, u, v) of slot keys: offset index, vertex and its partner."""
@@ -550,21 +556,33 @@ def sample_graph(m: ModelConfig) -> Graph:
     proposes every slot.
 
     Groups are handled in chunks of consecutive groups of about CHUNK
-    proposals each, which bounds memory.  Measured with numpy 2.4 on a
-    2-core Xeon at N=400, lambda=0.3 with truncated_exponential(1, 8)
-    weights (seeds 0-15): 4.7 proposals per edge (8.5 with one layer per
-    octave) where the half view alone takes 8.7 and one cap c B^2 / (N r)
-    for every slot 61; with discrete([1, 8, 64], [.9, .09, .01]) at
-    lambda E(W^2) = 0.3, whose layers are whole octaves apart for every
-    K, 18.5 instead of 28.2.  A graph of the first kind takes about
-    16 ms (median of five means over 60 graphs): 2.6 ms for the weight
-    layers, 3.2 ms to decode the proposed slots from per-group tables
-    (n_a, layer base, the ring's first offset), 1.2 ms for the endpoint
-    weights and ownership and 1.4 ms for thinning.  At N=800, lambda=2
-    with constant weights (half view) a graph takes about 41 ms (median
-    of 12) with a 15 MB allocation peak (tracemalloc); its 640k edges
-    stay in the order drawn, as `Graph.pairs`, until `Graph.edges` is
-    read.  `Graph.proposals` records the number of distinct slots
+    proposals each, which bounds memory.  A chunk's draws (its slots,
+    repeats merged, and their thinning uniforms) come from the stream on
+    the calling thread, chunk after chunk.  The rest of a chunk reads no
+    stream: decoding the keys, ownership, the thinning compare and the
+    (lo, hi) rows.  In a graph of more than one chunk it runs on one
+    helper thread while the caller draws the next chunk, with at most two
+    chunks in flight; numpy releases the interpreter lock in these array
+    operations, so the two overlap.  The rows are collected in chunk
+    order and the helper is stopped before return, so every draw and
+    `Graph.pairs` are those of one thread, and a process pool forked
+    later inherits no live thread.  A graph of one chunk starts no thread.
+
+    Measured with numpy 2.4 on a 2-core Xeon at N=400, lambda=0.3 with
+    truncated_exponential(1, 8) weights (seeds 0-15): 4.7 proposals per
+    edge (8.5 with one layer per octave) where the half view alone takes
+    8.7 and one cap c B^2 / (N r) for every slot 61; with
+    discrete([1, 8, 64], [.9, .09, .01]) at lambda E(W^2) = 0.3, whose
+    layers are whole octaves apart for every K, 18.5 instead of 28.2.
+    A graph of the first kind takes about 15 ms (median of 40; about
+    18 ms with every chunk on one thread), of whose work 2.6 ms is the
+    weight layers, 3.2 ms decoding the proposed slots from per-group
+    tables (n_a, layer base, the ring's first offset), 1.2 ms the
+    endpoint weights and ownership and 1.4 ms thinning.  At N=800,
+    lambda=2 with constant weights (half view, 39 chunks) a graph takes
+    about 28 ms (median of 40; about 34 ms on one thread) with a 15 MB
+    allocation peak (tracemalloc); its 640k edges stay in the order
+    drawn, as `Graph.pairs`, until `Graph.edges` is read.  `Graph.proposals` records the number of distinct slots
     proposed and `Graph.full` the view.
     """
     cfg = m.torus
@@ -592,27 +610,9 @@ def sample_graph(m: ModelConfig) -> Graph:
     q[every] = 1.0  # their chance to propose a slot
     thin = float(weights.min()) < top[0] or bool(every.any())  # p(u,v) < q somewhere
 
-    proposals = 0
-    nz = counts.nonzero()[0]
-    chunks = [nz]
-    if counts.sum() > CHUNK:
-        before = np.cumsum(counts[nz]) - counts[nz]
-        chunks = np.split(nz, np.diff(before // CHUNK).nonzero()[0] + 1)
-    pairs: list[np.ndarray] = []  # the kept edges as (lo, hi) rows, in the order drawn
-    for g in chunks:
-        gi = np.repeat(g, counts[g])
-        if every[g].any():  # a full group takes each of its slots once, the others draw theirs
-            draw = ~every[gi]
-            rel = np.arange(gi.size) - np.repeat(np.cumsum(counts[g]) - counts[g], counts[g])
-            rel[draw] = rng.integers(0, size[gi[draw]])
-        else:
-            rel = rng.integers(0, size[gi])
-        key = np.sort(start[gi] + rel)  # the groups' key ranges ascend with g, so gi stays aligned
-        dup = key[1:] == key[:-1]  # a slot hit more than once is proposed once
-        if dup.any():
-            new = np.concatenate(([True], ~dup))
-            key, gi = key[new], gi[new]
-        proposals += key.size
+    def tail(key: np.ndarray, gi: np.ndarray, uniform: np.ndarray | None) -> np.ndarray:
+        """The kept edges of one chunk's proposed keys as (lo, hi) rows;
+        it reads no stream state, so it may run on another thread."""
         if order is None:  # one layer: the keys are slot keys o * n + u
             o, u, v = slots.decode(key)
         else:  # key - start = o' * n_a + t: offset o' of the ring, t-th vertex of layer a
@@ -626,7 +626,7 @@ def sample_graph(m: ModelConfig) -> Graph:
             wu, wv = weights[u], weights[v]
             keep = slots.owns(o, u, v, wu, wv) if full else slots.owns(o, u, v)
             # U q < p(u,v), as p(u,v) <= q, and q = 1 where scale W_u W_v > 1 or every slot is proposed
-            keep &= rng.random(key.size) * q[gi] < scale[gi] * (wu * wv)
+            keep &= uniform * q[gi] < scale[gi] * (wu * wv)
         else:
             keep = slots.owns(o, u, v)
         k = np.flatnonzero(keep)
@@ -634,7 +634,45 @@ def sample_graph(m: ModelConfig) -> Graph:
         p = np.empty((k.size, 2), dtype=np.int32)
         np.minimum(u, v, out=p[:, 0])
         np.maximum(u, v, out=p[:, 1])
-        pairs.append(p)
+        return p
+
+    def draw(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The distinct keys that the groups g propose, each key's group and
+        its thinning uniform (None without thinning), from the stream."""
+        gi = np.repeat(g, counts[g])
+        if every[g].any():  # a full group takes each of its slots once, the others draw theirs
+            drawn = ~every[gi]
+            rel = np.arange(gi.size) - np.repeat(np.cumsum(counts[g]) - counts[g], counts[g])
+            rel[drawn] = rng.integers(0, size[gi[drawn]])
+        else:
+            rel = rng.integers(0, size[gi])
+        key = np.sort(start[gi] + rel)  # the groups' key ranges ascend with g, so gi stays aligned
+        dup = key[1:] == key[:-1]  # a slot hit more than once is proposed once
+        if dup.any():
+            new = np.concatenate(([True], ~dup))
+            key, gi = key[new], gi[new]
+        return key, gi, rng.random(key.size) if thin else None
+
+    nz = counts.nonzero()[0]
+    chunks = [nz]
+    if counts.sum() > CHUNK:
+        before = np.cumsum(counts[nz]) - counts[nz]
+        chunks = np.split(nz, np.diff(before // CHUNK).nonzero()[0] + 1)
+    key, gi, uniform = draw(chunks[0])
+    proposals = key.size
+    if len(chunks) == 1:  # no thread starts
+        pairs = [tail(key, gi, uniform)]
+    else:  # the tails run in chunk order on one helper thread while this one draws
+        from concurrent.futures import ThreadPoolExecutor  # imported only when a helper starts
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pairs = [pool.submit(tail, key, gi, uniform)]
+            for j in range(1, len(chunks)):
+                key, gi, uniform = draw(chunks[j])
+                proposals += key.size
+                if j >= 2:  # at most two chunks in flight
+                    pairs[j - 2] = pairs[j - 2].result()
+                pairs.append(pool.submit(tail, key, gi, uniform))
+            pairs[-2:] = [f.result() for f in pairs[-2:]]
 
     return Graph(N, weights, pairs[0] if len(pairs) == 1 else np.concatenate(pairs), proposals, full)
 

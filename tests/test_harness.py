@@ -11,6 +11,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -206,6 +207,31 @@ class TestRunExperiment:
         serial = run_experiment(plan, threads=1).to_csv()
         parallel = run_experiment(small_plan(), threads=2).to_csv()
         assert serial == parallel
+
+    def test_threads_match_serial_with_helper_threads(self):
+        # graphs of several chunks run each chunk's tail on a helper thread,
+        # here and in every forked worker; the helper is gone by the time
+        # sample_graph returns, so the pool forks from a process without one
+        plan = ExperimentPlan.from_dict({
+            "sweep": [{"N": 200, "lambda": 2.0},
+                      {"N": 160, "lambda": 0.6,
+                       "weights": {"kind": "truncated_exponential", "rate": 1.0, "upper": 8.0}}],
+            "replicates": 4, "estimator": "C_over_N2", "seed": 42,
+        })
+        before = threading.active_count()
+        serial = run_experiment(plan, threads=1).to_csv()
+        assert threading.active_count() == before
+        assert run_experiment(plan, threads=2).to_csv() == serial
+
+    def test_small_graphs_start_no_helper_threads(self, monkeypatch):
+        # every graph of small_plan (N <= 12) is one chunk, drawn and kept
+        # on the calling thread; sample_graph imports the executor class
+        # from concurrent.futures only when it starts one, so it is patched there
+        def refuse(max_workers):
+            raise AssertionError("a helper thread started")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        assert run_experiment(small_plan()).to_csv() == run_experiment(small_plan()).to_csv()
 
     def test_pool_never_outnumbers_replicates(self, monkeypatch):
         # a fork-started pool forks every worker at its first map; the

@@ -605,6 +605,23 @@ class TestSampleGraph:
         assert g.edge_count == edges
         assert hashlib.sha256(g.edges.tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("N, lam, w, full, digest", [
+        (200, 2.0, WeightSpec.constant(), False,
+         "de8e7ee2efef1c6a823c2e09d410ce8dbe19a2c28d530644fc787c766996ef00"),
+        (400, 0.3, WeightSpec.truncated_exponential(1.0, 8.0), True,
+         "b47946fd98c9cba2dce01d60a614c30409a6f83b041d84a7707058f896be1e7e"),
+        (400, 0.3, WeightSpec.discrete([1.0, 2.0], [0.5, 0.5]), False,
+         "4a5489c8dc0335d93e10af2c9dfa59cf65e74e08dba9d537ae8eea025a00a40a"),
+    ], ids=["N200-constant", "N400-trunc_exp8", "N400-discrete12"])
+    def test_pinned_pairs_digests(self, N, lam, w, full, digest):
+        # graphs of several chunks (3, 7 and 5: unthinned, full view,
+        # thinned half view) keep their rows in the order drawn, chunk by
+        # chunk; the edge pins above sort the rows first, so they would
+        # not see chunks collected out of order
+        g = sample_graph(ModelConfig(TorusConfig(N), c_of_lambda(lam), w, 0))
+        assert g.full == full
+        assert hashlib.sha256(g.pairs.tobytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("N", [30, 31])
     def test_constant_weights_propose_one_slot_per_edge(self, N):
         # no thinning: every proposed real slot is an edge, and only even N
