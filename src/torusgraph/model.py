@@ -102,10 +102,13 @@ class WeightSpec:
 
     @classmethod
     def constant(cls, value: float = 1.0) -> "WeightSpec":
+        """Point mass at value.  Its draws take no memory and no random
+        number: a read-only view of the one value at stride 0, so a
+        caller must never write into them."""
         w = float(value)
         if not 0 <= w < math.inf:
             raise ParameterError(f"weight must be nonnegative and finite, got {w}")
-        return cls(np.array([w]), np.array([1.0]), lambda rng, n: np.full(n, w),
+        return cls(np.array([w]), np.array([1.0]), lambda rng, n: np.broadcast_to(w, n),
                    {"kind": "constant", "value": w})
 
     @classmethod
@@ -217,6 +220,8 @@ class WeightSpec:
         return self.expectation(lambda x: x**k)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n i.i.d. draws of W.  A point mass returns a read-only view
+        (see `constant`): write into a copy, never into the draws."""
         if n < 0:
             raise ValueError("n must be >= 0")
         return self._sampler(rng, n)
@@ -331,9 +336,11 @@ class Graph:
     `TorusConfig` keeps N^2 < 2^31.  `edges` is the same edges as int64
     (min, max) rows, lexicographically sorted once, on first read, and
     cached; the readers that need no order (`edge_count`,
-    `largest_component`) read `pairs` and never sort.  The CSR adjacency
-    is built lazily, once, and cached, so do not mutate the graph once
-    `edges` or `adjacency` has been read.
+    `largest_component`) read `pairs` and never sort.  `weights` holds
+    W_u at index u; under a constant law it is a read-only view of one
+    value (`WeightSpec.constant`), so never write into it.  The CSR
+    adjacency is built lazily, once, and cached, so do not mutate the
+    graph once `edges` or `adjacency` has been read.
     """
 
     N: int
@@ -396,10 +403,17 @@ class Graph:
 class SlotTable:
     """Candidate-pair slots of the N-torus, one per (offset, vertex).
 
-    `di`, `dj` (int32) hold every nonzero offset, sorted by ring; within
-    a ring the half-offsets H_r come first, one of each {o, -o} with
+    `di`, `dj` hold every nonzero offset, sorted by ring; within a ring
+    the half-offsets H_r come first, one of each {o, -o} with
     self-inverse ones (o == -o, even N only) included, and the other
-    offsets follow.  Ring r owns F_r = table[ring_start[r]:ring_start[r + 1]],
+    offsets follow, each part in index order.  They are uint16, 2 bytes
+    per offset each: a coordinate is below N, and `TorusConfig` keeps
+    N <= 46340 < 2^16.  numpy keeps uint16 arithmetic in uint16 (2 * di
+    wraps past N = 32767), so every use widens them first.  One stable
+    (radix) sort of the uint16 ring numbers, the half-offsets placed
+    first, orders the table; the build makes no n-sized int32 array and
+    peaks at 185 MB (tracemalloc) at N=3200, where an int32 build took 297 MB.
+    Ring r owns F_r = table[ring_start[r]:ring_start[r + 1]],
     |F_r| = ring_full[r - 1], and its first ring_len[r - 1] = |H_r|
     offsets are H_r.  The slot key o * n + u (o an index into the table,
     u a vertex index) names the pair (u, u + table[o]), so ring r owns
@@ -417,22 +431,32 @@ class SlotTable:
     def __init__(self, cfg: TorusConfig):
         N = cfg.N
         self.N, self.n = N, cfg.n_vertices
-        # int32 throughout, as TorusConfig keeps n < 2^31 (int16 would overflow past N = 16383)
-        di, dj = np.divmod(np.arange(1, self.n, dtype=np.int32), N)
-        half = di * N + dj <= (-di % N) * N + (-dj % N)
-        d = cfg.offset_dist.astype(np.int32)
-        dist = d[di] + d[dj]
-        self.ring_len = np.bincount(dist[half], minlength=cfg.max_dist + 1)[1:]  # |H_r|
-        key = 2 * dist
-        key += ~half
-        del half
-        order = np.argsort(key, kind="stable")  # by ring, H_r first
-        del key
-        self.di = di = di[order]  # rebound one at a time: at most one stale copy is alive
-        self.dj = dj = dj[order]
-        self.self_inverse = (2 * di % N == 0) & (2 * dj % N == 0)
-        self.ring_start = np.searchsorted(dist[order], np.arange(cfg.max_dist + 2, dtype=np.int32))
-        self.ring_full = np.diff(self.ring_start[1:])  # |F_r| of the nonempty rings r
+        # The n-sized arrays run over the offsets (i, j) row-major, [1:]
+        # leaving out (0, 0).  (i, j) is a half-offset when i N + j is at
+        # most the index of its negative (-i % N, -j % N): when i is below
+        # -i % N, or equal to it (i = 0, or N/2 for even N) and j is at most -j % N.
+        c = np.arange(N)
+        neg = -c % N
+        half = ((c < neg)[:, None] | ((c == neg)[:, None] & (c <= neg))).ravel()[1:]
+        rest = ~half
+
+        def split(x):  # the half-offsets first, then the others, each in index order
+            return np.concatenate((x[half], x[rest]))
+
+        d = cfg.offset_dist.astype(np.uint16)
+        ring = split((d[:, None] + d).ravel()[1:])  # d(i) + d(j) <= N < 2^16: the uint16 sum cannot wrap
+        counts = np.bincount(ring, minlength=cfg.max_dist + 1)
+        self.ring_len = np.bincount(ring[:np.count_nonzero(half)], minlength=cfg.max_dist + 1)[1:]  # |H_r|
+        self.ring_start = np.concatenate(([0], counts.cumsum()))
+        self.ring_full = counts[1:]  # |F_r| of the nonempty rings r
+        order = np.argsort(ring, kind="stable")  # by ring, H_r first; a radix sort on uint16
+        del ring
+        c = c.astype(np.uint16)
+        self.di = di = split(c.repeat(N)[1:])[order]
+        self.dj = dj = split(np.tile(c, N)[1:])[order]
+        # o == -o where both coordinates are their own negatives, 0 or N/2
+        fixed = N // 2 if N % 2 == 0 else 0
+        self.self_inverse = ((di == 0) | (di == fixed)) & ((dj == 0) | (dj == fixed))
 
     def decode(self, key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(o, u, v) of slot keys: offset index, vertex and its partner."""
@@ -446,9 +470,12 @@ class SlotTable:
         one compare-and-subtract instead of a `% N`."""
         N = self.N
         i = u // N
-        a = i + self.di[o]
+        a = self.di[o].astype(np.int64)  # widened before any arithmetic: uint16 would wrap
+        a += i
         a -= N * (a >= N)
-        b = u - i * N + self.dj[o]
+        b = self.dj[o].astype(np.int64)
+        b += u
+        b -= i * N
         b -= N * (b >= N)
         return a * N + b
 
@@ -580,10 +607,13 @@ def sample_graph(m: ModelConfig) -> Graph:
     tables (n_a, layer base, the ring's first offset), 1.2 ms the
     endpoint weights and ownership and 1.4 ms thinning.  At N=800,
     lambda=2 with constant weights (half view, 39 chunks) a graph takes
-    about 28 ms (median of 40; about 34 ms on one thread) with a 15 MB
-    allocation peak (tracemalloc); its 640k edges stay in the order
-    drawn, as `Graph.pairs`, until `Graph.edges` is read.  `Graph.proposals` records the number of distinct slots
-    proposed and `Graph.full` the view.
+    about 28 ms (median of 40; about 34 ms on one thread) with a 10 MB
+    allocation peak (tracemalloc, the table built before): the rows of
+    every chunk and their concatenation, 5.1 MB each, as the constant
+    weights take no memory.  Its 640k edges stay in the order drawn, as
+    `Graph.pairs`, until `Graph.edges` is read.  `Graph.proposals`
+    records the number of distinct slots proposed and `Graph.full` the
+    view.
     """
     cfg = m.torus
     N, n = cfg.N, cfg.n_vertices

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -102,6 +103,20 @@ class TestLargestComponent:
         assert cs.sizes.sum() == g.n_vertices
         assert cs.largest == cs.sizes.max()
         assert 1 <= cs.sizes.size <= g.n_vertices
+
+    def test_allocation_peak(self):
+        # the labeller allocates at most 2.5 times the graph's int32 edge
+        # rows at once (2.24 read with numpy 2.4; 3.34 when every gather
+        # copied a whole int32 id array to intp first)
+        g = sample_graph(ModelConfig(TorusConfig(400), c_of_lambda(2.0), WeightSpec.constant(), 0))
+        largest_component(g)  # the first call's one-off allocations are not the labeller's
+        tracemalloc.start()
+        try:
+            largest_component(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * g.pairs.nbytes
 
 
 def oracle_sizes(g):

@@ -273,6 +273,28 @@ class TestCandidatePopulation:
         assert np.all((wu > wv) | ((wu == wv) & (u[own] < v[own])))
 
 
+@pytest.mark.parametrize("N, digest", [
+    (2, "4611dd0b08185d8fada572eb0c6531877d654aa006eb139067af3ede2602a3da"),
+    (3, "3445ebd61f89439044008d3949a2e599a4f68114cb1a90974428d64d3e9564b8"),
+    (4, "5616dd22c0ece805642f0dbfa52f16aaf655c02b6776e56aa5ab63a3a57466f4"),
+    (5, "0f66c1b41392042bfd1d568518786e265a6eec689fcc550dd329611b7390ff54"),
+    (8, "41839152c1da8c984a78505371d6ae8bb356f32dae2d9d78a03e4685e1d53b7d"),
+    (9, "b735d6711962eb437925c27db86c24ea4b8c63072ac84ac51a779f3a28fe6eb5"),
+    (64, "f3d560767de43052be967ba3a2cf6e5a5c8825fe2df15e757606547f30272482"),
+    (101, "ef77f8f80f710e261c1fc522ed6a25bdc258c553ff5dba6044a797816d910fc7"),
+    (400, "b6b3340f9ec4d01574eab0bbf112552995314d92f63689b58b476f183dff5306"),
+])
+def test_pinned_slot_table(N, digest):
+    # the table's content, each array widened to int64 so that its dtype
+    # does not enter the digest; even N has three self-inverse offsets
+    t = slot_table(N)
+    assert int(t.self_inverse.sum()) == (3 if N % 2 == 0 else 0)
+    h = hashlib.sha256()
+    for a in (t.di, t.dj, t.self_inverse, t.ring_start, t.ring_full, t.ring_len):
+        h.update(np.asarray(a, dtype=np.int64).tobytes())
+    assert h.hexdigest() == digest
+
+
 class TestSampleGraph:
     def test_zero_intensity(self):
         g = sample_graph(ModelConfig(TorusConfig(5), 0.0))
@@ -655,3 +677,16 @@ class TestExport:
         assert wlines[0].split()[:2] == ["1", "1"]
         # 'v1 v2 w' with w a plain float literal that reads back exactly
         assert np.array_equal([float(line.split()[2]) for line in wlines], g.weights)
+
+    def test_constant_weights_take_no_memory(self, tmp_path):
+        # a constant law's weights are one value at stride 0, read-only,
+        # and export as the bytes of the filled array they stand for
+        g = sample_graph(ModelConfig(TorusConfig(20), c_of_lambda(2.0), WeightSpec.constant(1.5), seed=0))
+        assert g.weights.shape == (400,) and np.all(g.weights == 1.5)
+        assert g.weights.strides == (0,) and not g.weights.flags.writeable
+        with pytest.raises(ValueError):
+            g.weights[0] = 2.0
+        view, filled = tmp_path / "view.weights", tmp_path / "filled.weights"
+        g.export_weights(view)
+        replace(g, weights=np.full(400, 1.5)).export_weights(filled)
+        assert view.read_bytes() == filled.read_bytes()
