@@ -409,10 +409,10 @@ class SlotTable:
     offsets follow, each part in index order.  They are uint16, 2 bytes
     per offset each: a coordinate is below N, and `TorusConfig` keeps
     N <= 46340 < 2^16.  numpy keeps uint16 arithmetic in uint16 (2 * di
-    wraps past N = 32767), so every use widens them first.  One stable
+    wraps once N passes 32768), so every use widens them first.  One stable
     (radix) sort of the uint16 ring numbers, the half-offsets placed
     first, orders the table; the build makes no n-sized int32 array and
-    peaks at 185 MB (tracemalloc) at N=3200, where an int32 build took 297 MB.
+    peaks at 185 MB (tracemalloc) at N=3200.
     Ring r owns F_r = table[ring_start[r]:ring_start[r + 1]],
     |F_r| = ring_full[r - 1], and its first ring_len[r - 1] = |H_r|
     offsets are H_r.  The slot key o * n + u (o an index into the table,

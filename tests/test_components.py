@@ -106,8 +106,8 @@ class TestLargestComponent:
 
     def test_allocation_peak(self):
         # the labeller allocates at most 2.5 times the graph's int32 edge
-        # rows at once (2.24 read with numpy 2.4; 3.34 when every gather
-        # copied a whole int32 id array to intp first)
+        # rows at once (2.24 with numpy 2.4): no gather copies a whole
+        # int32 id array to intp
         g = sample_graph(ModelConfig(TorusConfig(400), c_of_lambda(2.0), WeightSpec.constant(), 0))
         largest_component(g)  # the first call's one-off allocations are not the labeller's
         tracemalloc.start()
