@@ -34,12 +34,17 @@ def borel_tail(lambda_prime: float, k: int | np.ndarray) -> float | np.ndarray:
     """P{total progeny >= k} for offspring law Po(lambda'), lambda' < 1,
     as a float for an int k and as a float array for an int array k.
 
-    Sums e^{-lambda' j} (lambda' j)^{j-1} / j! once, from j = K = max(k),
-    in numpy chunks; terms decay like e^{-alpha j} with alpha = lambda' -
-    1 - log lambda', so the truncation error is below 1e-12 at the
-    stopping rule used here: the first term past j = K + 50 / alpha
-    below 1e-16 of the sum so far.  Each smaller k adds its terms j = k
-    .. K - 1 from one reverse cumsum, and P{T >= 1} is exactly 1.
+    With P{T = j} = e^{-lambda' j} (lambda' j)^{j-1} / j!, it is first
+    1 - sum_{j<k} P{T = j}, from the k - 1 terms below max(k).  That
+    complement loses about log10(1/tail) digits, so where it falls below
+    1e-3 the tail is summed instead, once, from j = K = max(k), in numpy
+    chunks; terms decay like e^{-alpha j} with alpha = lambda' - 1 -
+    log lambda', so the truncation error is below 1e-12 at the stopping
+    rule used here: the first term past j = K + 50 / alpha below 1e-16
+    of the sum so far.  Each smaller k adds its terms j = k .. K - 1
+    from one reverse cumsum.  The sum takes about 100 / (1 - lambda')^2
+    terms near lambda' = 1, where the complement, never tiny there for
+    small k, takes k - 1.  P{T >= 1} is exactly 1.
     scipy.special is imported here, as only `branching borel` calls this.
     """
     if not 0 < lambda_prime < 1:
@@ -55,20 +60,24 @@ def borel_tail(lambda_prime: float, k: int | np.ndarray) -> float | np.ndarray:
         return np.exp(-lambda_prime * j + (j - 1) * (log_lp + np.log(j)) - gammaln(j + 1))
 
     k_max = int(k.max())
-    j_min_extra = k_max + int(50.0 / alpha) + 1
-    total, j0 = 0.0, k_max
-    while True:
-        # the terms the stopping rule needs at least, plus 64, and at most 2^16 at a time
-        j = np.arange(j0, j0 + min(max(j_min_extra - j0, 0) + 64, 1 << 16), dtype=float)
-        term = terms(j)
-        run = total + np.cumsum(term)
-        stop = np.flatnonzero((term < 1e-16 * run) & (j >= j_min_extra))
-        if stop.size:
-            break
-        total, j0 = float(run[-1]), j0 + j.size
-    # head[i]: the sum of the terms j = i + 1 .. k_max - 1, so head[k_max - 1] = 0
-    head = np.append(np.cumsum(terms(np.arange(k_max - 1, 0, -1, dtype=float)))[::-1], 0.0)
-    tail = np.where(k == 1, 1.0, np.minimum(run[stop[0]] + head[k - 1], 1.0))
+    pmf = terms(np.arange(1, k_max, dtype=float))  # P{T = j}, j = 1 .. k_max - 1
+    tail = 1.0 - np.append(0.0, np.cumsum(pmf))[k - 1]
+    small = tail < 1e-3  # the complement keeps too few digits there
+    if small.any():
+        j_min_extra = k_max + int(50.0 / alpha) + 1
+        total, j0 = 0.0, k_max
+        while True:
+            # the terms the stopping rule needs at least, plus 64, and at most 2^16 at a time
+            j = np.arange(j0, j0 + min(max(j_min_extra - j0, 0) + 64, 1 << 16), dtype=float)
+            term = terms(j)
+            run = total + np.cumsum(term)
+            stop = np.flatnonzero((term < 1e-16 * run) & (j >= j_min_extra))
+            if stop.size:
+                break
+            total, j0 = float(run[-1]), j0 + j.size
+        # head[i]: the sum of the terms j = i + 1 .. k_max - 1, so head[k_max - 1] = 0
+        head = np.append(np.cumsum(pmf[::-1])[::-1], 0.0)
+        tail = np.where(small, np.minimum(run[stop[0]] + head[k - 1], 1.0), tail)
     return tail if tail.ndim else float(tail)
 
 

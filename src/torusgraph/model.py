@@ -506,26 +506,34 @@ CHUNK = 1 << 14  # proposals per batch of consecutive (ring, layer) groups
 EVERY_SLOT = 1 - math.exp(-1)  # caps above it propose each slot once: there -P log(1 - q) > P
 
 
-def _weight_layers(weights: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """(order, sizes, top) of the weight layers, LAYERS_PER_OCTAVE = K per
-    octave: vertex u sits in layer floor(K log2(B / W_u)), capped at
-    K MAX_LAYER, with B the largest weight; `order` lists the vertices
-    layer by layer (None when there is one layer), `sizes` and `top` hold
-    each nonempty layer's vertex count and largest weight M_a."""
+def _weight_layers(weights: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, float]:
+    """(layer, sizes, top, low) of the weight layers, LAYERS_PER_OCTAVE = K
+    per octave: vertex u sits in layer[u] = floor(K log2(B / W_u)), capped
+    at K MAX_LAYER, with B the largest weight and low the smallest;
+    `layer` is None when there is one layer, and `sizes` and `top` hold
+    each nonempty layer's vertex count and largest weight M_a, in layer
+    order.  It runs on the drawing thread, between the weight draw and
+    the proposal counts, so it makes only what the counts need.  The tops
+    come from one np.maximum.at, which visits each layer's weights in
+    index order, as a reduceat over the weights in vertex order does.
+    That order, np.argsort(layer, kind="stable"), lists the vertices
+    layer by layer; only `sample_graph`'s tails read it, so it is sorted
+    there, on the helper thread when there is one."""
     B, low = float(weights.max()), float(weights.min())
     # one layer: equal weights (zero included) or all above B 2^(-1/K)
     if low == B or low > B * 2 ** (-1 / LAYERS_PER_OCTAVE):
-        return None, np.array([weights.size]), np.array([B])
+        return None, np.array([weights.size]), np.array([B]), low
     # B > 0; weights at most B / 2^MAX_LAYER, zero included, get ratio 2^MAX_LAYER
     ratio = np.maximum(weights, B / 2**MAX_LAYER)
     np.divide(B, ratio, out=ratio)  # then log2, times K and floor, all in place
     np.log2(ratio, out=ratio)
     ratio *= LAYERS_PER_OCTAVE
     layer = np.floor(ratio, out=ratio).astype(np.uint8)  # 0 to K MAX_LAYER = 48
-    order = layer.argsort(kind="stable")
     sizes = np.bincount(layer)
-    sizes = sizes[sizes > 0]
-    return order, sizes, np.maximum.reduceat(weights[order], np.cumsum(sizes) - sizes)
+    top = np.full(sizes.size, -np.inf, dtype=weights.dtype)
+    np.maximum.at(top, layer, weights)
+    live = sizes > 0
+    return layer, sizes[live], top[live], low
 
 
 def _slot_view(slots: SlotTable, a_r: np.ndarray, sizes: np.ndarray,
@@ -585,15 +593,23 @@ def sample_graph(m: ModelConfig) -> Graph:
     Groups are handled in chunks of consecutive groups of about CHUNK
     proposals each, which bounds memory.  A chunk's draws (its slots,
     repeats merged, and their thinning uniforms) come from the stream on
-    the calling thread, chunk after chunk.  The rest of a chunk reads no
-    stream: decoding the keys, ownership, the thinning compare and the
-    (lo, hi) rows.  In a graph of more than one chunk it runs on one
-    helper thread while the caller draws the next chunk, with at most two
-    chunks in flight; numpy releases the interpreter lock in these array
-    operations, so the two overlap.  The rows are collected in chunk
-    order and the helper is stopped before return, so every draw and
-    `Graph.pairs` are those of one thread, and a process pool forked
-    later inherits no live thread.  A graph of one chunk starts no thread.
+    the calling thread, chunk after chunk.  The rest of a chunk, its
+    tail, reads no stream: decoding the keys, ownership, the thinning
+    compare and the (lo, hi) rows.  Nor does the vertex order that the
+    tails of a graph of several layers read, np.argsort(layer,
+    kind="stable").  In a graph of more than one chunk, one helper thread
+    sorts that order first, then runs the tails the caller hands it
+    while the caller draws.  The caller hands over a chunk's tail only
+    when none waits on the helper, and runs it itself otherwise, so the
+    helper holds at most two tails (one running, one waiting) and at
+    most three chunks' draws are alive; after the last draw the caller
+    cancels a tail the helper has not started and runs it.  numpy
+    releases the interpreter lock in these array operations, so the two
+    threads overlap.  The rows are collected in chunk order and the
+    helper is stopped before return, so every draw and `Graph.pairs` are
+    the same whichever thread runs each tail, and a process pool forked
+    later inherits no live thread.  A graph of one chunk starts no
+    thread and sorts on the calling thread.
 
     Measured with numpy 2.4 on a 2-core Xeon at N=400, lambda=0.3 with
     truncated_exponential(1, 8) weights (seeds 0-15): 4.7 proposals per
@@ -601,11 +617,13 @@ def sample_graph(m: ModelConfig) -> Graph:
     8.7 and one cap c B^2 / (N r) for every slot 61; with
     discrete([1, 8, 64], [.9, .09, .01]) at lambda E(W^2) = 0.3, whose
     layers are whole octaves apart for every K, 18.5 instead of 28.2.
-    A graph of the first kind takes about 15 ms (median of 40; about
-    18 ms with every chunk on one thread), of whose work 2.6 ms is the
-    weight layers, 3.2 ms decoding the proposed slots from per-group
-    tables (n_a, layer base, the ring's first offset), 1.2 ms the
-    endpoint weights and ownership and 1.4 ms thinning.  At N=800,
+    A graph of the first kind takes about 11 ms (median of 100, seeds
+    1000-1099, on a quiet host; about 13.4 ms with every chunk on the
+    calling thread).  Of its work, 1.5 ms is the weight layers, on the
+    drawing thread, 0.6 ms the vertex sort, 3.2 ms decoding the proposed
+    slots from per-group tables (n_a, layer base, the ring's first
+    offset), 1.2 ms the endpoint weights and ownership and 1.4 ms
+    thinning.  At N=800,
     lambda=2 with constant weights (half view, 39 chunks) a graph takes
     about 28 ms (median of 40; about 34 ms on one thread) with a 10 MB
     allocation peak (tracemalloc, the table built before): the rows of
@@ -619,7 +637,7 @@ def sample_graph(m: ModelConfig) -> Graph:
     N, n = cfg.N, cfg.n_vertices
     rng = np.random.Generator(np.random.Philox(m.seed))
     weights = m.weights.sample(n, rng)
-    order, sizes, top = _weight_layers(weights)
+    layer, sizes, top, low = _weight_layers(weights)
     L, base = sizes.size, np.cumsum(sizes) - sizes
 
     # groups (ring, layer), ring-major; group g owns the keys [start[g], start[g] + size[g])
@@ -631,25 +649,25 @@ def sample_graph(m: ModelConfig) -> Graph:
     start = (n * slots.ring_start[1:-1, None] + V * base).ravel()
     q = q.ravel()
     scale = a_r.repeat(L)
-    if order is not None:  # each group's layer size n_a, layer base and ring's first offset
+    if layer is not None:  # each group's layer size n_a, layer base and ring's first offset
         n_a, layer_base = np.tile(sizes, cfg.max_dist), np.tile(base, cfg.max_dist)
         first = slots.ring_start[1:-1].repeat(L)
     every = q > EVERY_SLOT
     # a full group's Poisson draw is unused; clipping its q keeps the log finite
     counts = np.where(every, size, rng.poisson(-size * np.log1p(-np.minimum(q, EVERY_SLOT))))
     q[every] = 1.0  # their chance to propose a slot
-    thin = float(weights.min()) < top[0] or bool(every.any())  # p(u,v) < q somewhere
+    thin = low < top[0] or bool(every.any())  # p(u,v) < q somewhere
 
     def tail(key: np.ndarray, gi: np.ndarray, uniform: np.ndarray | None) -> np.ndarray:
         """The kept edges of one chunk's proposed keys as (lo, hi) rows;
         it reads no stream state, so it may run on another thread."""
-        if order is None:  # one layer: the keys are slot keys o * n + u
+        if layer is None:  # one layer: the keys are slot keys o * n + u
             o, u, v = slots.decode(key)
         else:  # key - start = o' * n_a + t: offset o' of the ring, t-th vertex of layer a
             rel = key - start[gi]
             na = n_a[gi]
             o = rel // na
-            u = order[layer_base[gi] + rel - o * na]
+            u = vertex_order()[layer_base[gi] + rel - o * na]
             o += first[gi]
             v = slots.partner(o, u)
         if thin:  # always so in the full view, whose layers are several
@@ -688,21 +706,29 @@ def sample_graph(m: ModelConfig) -> Graph:
     if counts.sum() > CHUNK:
         before = np.cumsum(counts[nz]) - counts[nz]
         chunks = np.split(nz, np.diff(before // CHUNK).nonzero()[0] + 1)
-    key, gi, uniform = draw(chunks[0])
-    proposals = key.size
+    vertex_order = functools.partial(np.argsort, layer, kind="stable")  # the vertices layer by layer
     if len(chunks) == 1:  # no thread starts
+        key, gi, uniform = draw(chunks[0])
+        proposals = key.size
         pairs = [tail(key, gi, uniform)]
-    else:  # the tails run in chunk order on one helper thread while this one draws
+    else:  # this thread draws; the helper sorts, then takes the tails this one hands it
         from concurrent.futures import ThreadPoolExecutor  # imported only when a helper starts
         with ThreadPoolExecutor(max_workers=1) as pool:
-            pairs = [pool.submit(tail, key, gi, uniform)]
-            for j in range(1, len(chunks)):
-                key, gi, uniform = draw(chunks[j])
-                proposals += key.size
-                if j >= 2:  # at most two chunks in flight
-                    pairs[j - 2] = pairs[j - 2].result()
-                pairs.append(pool.submit(tail, key, gi, uniform))
-            pairs[-2:] = [f.result() for f in pairs[-2:]]
+            if layer is not None:  # the helper's first task
+                vertex_order = pool.submit(vertex_order).result
+            pairs, proposals, handed = [], 0, None  # handed: the last tail handed over, its index and draws
+            for g in chunks:
+                drawn = draw(g)
+                proposals += drawn[0].size
+                if handed and not (handed[0].running() or handed[0].done()):  # one waits on the helper
+                    pairs.append(tail(*drawn))
+                else:  # so the helper holds at most two tails, one running and one waiting
+                    handed = pool.submit(tail, *drawn), len(pairs), drawn
+                    pairs.append(handed[0])
+            future, j, drawn = handed
+            if future.cancel():  # the helper has not started it: run it here rather than wait
+                pairs[j] = tail(*drawn)
+            pairs = [p if isinstance(p, np.ndarray) else p.result() for p in pairs]
 
     return Graph(N, weights, pairs[0] if len(pairs) == 1 else np.concatenate(pairs), proposals, full)
 

@@ -80,6 +80,25 @@ class TestBorelTail:
         borel_tail(0.99, np.arange(1, 21))
         assert time.perf_counter() - t0 < 0.5
 
+    @pytest.mark.parametrize("lp", [0.5, 0.99, 0.9995])
+    def test_matches_mpmath(self, lp):
+        # 1 - sum_{j<k} P{T = j} at 40 digits, for k <= 20; a sum of the
+        # tail itself would take about 100 / (1 - lambda')^2 terms, 4e8 at
+        # lambda' = 0.9995
+        import mpmath
+
+        with mpmath.workdps(40):
+            x = mpmath.mpf(lp)
+            pmf = [mpmath.exp(-x * j) * (x * j) ** (j - 1) / mpmath.factorial(j) for j in range(1, 20)]
+            exact = [float(1 - mpmath.fsum(pmf[:k - 1])) for k in range(1, 21)]
+        ks = np.arange(1, 21)
+        assert borel_tail(lp, ks) == pytest.approx(exact, rel=1e-10)
+        t0 = time.perf_counter()
+        scalar = [borel_tail(lp, int(k)) for k in ks]
+        if lp == 0.9995:
+            assert time.perf_counter() - t0 < 0.5
+        assert scalar == pytest.approx(exact, rel=1e-10)
+
     def test_monotone_in_k(self):
         vals = [borel_tail(0.7, k) for k in range(1, 40)]
         assert all(a > b for a, b in zip(vals, vals[1:]))

@@ -1,6 +1,10 @@
+import concurrent.futures
+import functools
 import hashlib
 import itertools
 import math
+import sys
+import threading
 import time
 from dataclasses import replace
 
@@ -30,6 +34,11 @@ from torusgraph.model import (
 
 # a few heavy vertices: graphs at lambda E(W^2) = 0.3 take the full view
 HEAVY = WeightSpec.discrete([1.0, 8.0, 64.0], [0.9, 0.09, 0.01])
+# a layered, thinned half-view graph of 15 chunks: its proposal count and
+# the sha256 of its rows in the order drawn
+LAYERED = ModelConfig(TorusConfig(400), c_of_lambda(0.3),
+                      WeightSpec.discrete([1.0, 1.5, 3.0, 5.0], [0.4, 0.3, 0.2, 0.1]), 2)
+LAYERED_PAIRS = 233025, "984d0eb1f090f179144f48955b36329bc8203c88d080ebae3778241dc07233cd"
 
 
 def rng_for(seed):
@@ -552,7 +561,9 @@ class TestSampleGraph:
         # each vertex's layer top M_a is its own weight rounded up by less
         # than 2^(1/4), above the floor B / 2^MAX_LAYER, and never below it
         weights = w.sample(4000, rng_for(0))
-        order, sizes, top = _weight_layers(weights)
+        layer, sizes, top, low = _weight_layers(weights)
+        order = np.argsort(layer, kind="stable")
+        assert low == weights.min()
         cap = np.empty_like(weights)
         cap[order] = np.repeat(top, sizes)
         live = weights > weights.max() / 2**MAX_LAYER
@@ -562,7 +573,9 @@ class TestSampleGraph:
     def test_weight_layer_order_is_stable(self):
         # vertices listed layer by layer and by index within a layer, as a
         # stable sort of the layer index lists them; zeros, ties and weights
-        # below B / 2^MAX_LAYER share the lowest layer, 4 * MAX_LAYER
+        # below B / 2^MAX_LAYER share the lowest layer, 4 * MAX_LAYER, and
+        # each top is its layer's largest weight, as a reduceat over the
+        # weights in that order defines it
         B = 8.0
         rng = rng_for(7)
         weights = rng.permutation(np.concatenate([
@@ -571,11 +584,14 @@ class TestSampleGraph:
             B * 2.0 ** -rng.uniform(0.0, 14.0, 5000),
         ]))
         layer = np.floor(LAYERS_PER_OCTAVE * np.log2(B / np.maximum(weights, B / 2**MAX_LAYER)))
-        order, sizes, _ = _weight_layers(weights)
+        got, sizes, top, _ = _weight_layers(weights)
+        order = np.argsort(got, kind="stable")
         assert layer.max() == LAYERS_PER_OCTAVE * MAX_LAYER
         assert np.array_equal(order, np.argsort(layer, kind="stable"))
         counts = np.bincount(layer.astype(np.int64))
         assert np.array_equal(sizes, counts[counts > 0])
+        assert np.array_equal(top, np.maximum.reduceat(weights[order], np.cumsum(sizes) - sizes))
+        assert top[-1] == B / 2**MAX_LAYER and top.dtype == weights.dtype
 
     def test_layered_proposals_per_edge(self):
         # quarter-octave weight layers propose about 4.6 slots per edge,
@@ -643,6 +659,95 @@ class TestSampleGraph:
         g = sample_graph(ModelConfig(TorusConfig(N), c_of_lambda(lam), w, 0))
         assert g.full == full
         assert hashlib.sha256(g.pairs.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("eager", [False, True], ids=["tasks-wait", "tasks-run-at-submit"])
+    def test_pairs_whichever_thread_runs_tails(self, monkeypatch, eager):
+        # the executor is swapped for one thread: its tasks either wait
+        # until their result is asked for or cancelled, so the drawing
+        # thread runs every tail but the first one it hands over, or run
+        # as they are submitted, so the drawing thread runs none; either
+        # way every row stays where the chunk order puts it.  The graphs
+        # are those of test_pinned_pairs_digests and LAYERED
+        cancelled = []
+
+        class Task:
+            def __init__(self, call):
+                self.call, self.state = call, "pending"
+
+            def running(self):
+                return False
+
+            def done(self):
+                return self.state != "pending"
+
+            def cancel(self):
+                if self.state == "pending":
+                    self.state = "cancelled"
+                    cancelled.append(self)
+                return self.state == "cancelled"
+
+            def result(self):
+                assert self.state != "cancelled"
+                if self.state == "pending":
+                    self.value, self.state = self.call(), "finished"
+                return self.value
+
+        class OneThread:
+            def __init__(self, max_workers):
+                assert max_workers == 1
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args, **kwargs):
+                task = Task(functools.partial(fn, *args, **kwargs))
+                if eager:
+                    task.result()
+                return task
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", OneThread)
+        for N, lam, w, seed, full, proposals, digest in [
+            (200, 2.0, WeightSpec.constant(), 0, False, 39912,
+             "de8e7ee2efef1c6a823c2e09d410ce8dbe19a2c28d530644fc787c766996ef00"),
+            (400, 0.3, WeightSpec.truncated_exponential(1.0, 8.0), 0, True, 112592,
+             "b47946fd98c9cba2dce01d60a614c30409a6f83b041d84a7707058f896be1e7e"),
+            (400, 0.3, WeightSpec.discrete([1.0, 2.0], [0.5, 0.5]), 0, False, 71777,
+             "4a5489c8dc0335d93e10af2c9dfa59cf65e74e08dba9d537ae8eea025a00a40a"),
+        ]:
+            g = sample_graph(ModelConfig(TorusConfig(N), c_of_lambda(lam), w, seed))
+            assert (g.full, g.proposals) == (full, proposals)
+            assert hashlib.sha256(g.pairs.tobytes()).hexdigest() == digest
+        g = sample_graph(LAYERED)
+        assert (g.full, g.proposals, hashlib.sha256(g.pairs.tobytes()).hexdigest()) == (False, *LAYERED_PAIRS)
+        # waiting tasks leave each graph's first tail to be cancelled and run here
+        assert len(cancelled) == (0 if eager else 4)
+
+    def test_pairs_under_contended_threads(self):
+        # four callers at once, each with its own helper, and a thread
+        # switch every microsecond: the tails land wherever the timing puts
+        # them, and every graph keeps the rows of the layered pin
+        digests = []
+
+        def run():
+            for _ in range(2):
+                g = sample_graph(LAYERED)
+                digests.append((g.proposals, hashlib.sha256(g.pairs.tobytes()).hexdigest()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run) for _ in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert digests == [LAYERED_PAIRS] * 8
 
     @pytest.mark.parametrize("N", [30, 31])
     def test_constant_weights_propose_one_slot_per_edge(self, N):
