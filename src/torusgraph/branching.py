@@ -12,8 +12,9 @@ is drawn exactly for every law a constructor builds.
 
 One random walk, `progeny_batch`, draws B2's total progeny; with W == 1
 it is the Poisson(lambda) Galton-Watson tree, whose Borel tail is the
-analytic oracle.  `simulate_B1` stays generation by generation, as the
-independent algorithm the identity is checked against.
+analytic oracle.  `simulate_B1`, the independent algorithm the identity
+is checked against, goes generation by generation; a generation's child
+count is one Poisson draw of the summed intensity, which is exact.
 """
 
 from __future__ import annotations
@@ -152,11 +153,12 @@ def size_biased(w: WeightSpec) -> SizeBiasedSpec:
 
 def simulate_B1(x: float, lam: float, w: WeightSpec, cap: int,
                 rng: np.random.Generator) -> int:
-    """Total progeny of the multi-type process from type x, or EXCEEDED past cap.
+    """Total progeny (an int) of the multi-type process from type x, or EXCEEDED past cap.
 
-    A type-t individual begets Po(lam * t * EW) children whose types
-    are i.i.d. size-biased W; that two-step draw realizes the intensity
-    measure lam * t * y dmu(y) without discretizing the type space.
+    A type-t individual begets Po(lam * t * EW) children of i.i.d. size-biased
+    types, realizing the intensity lam * t * y dmu(y) exactly; so a generation
+    begets Po(lam * EW * sum of its types) children, drawn at once: independent
+    Poissons sum to a Poisson, and no child's type depends on its parent.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -165,14 +167,12 @@ def simulate_B1(x: float, lam: float, w: WeightSpec, cap: int,
     tilde = w.size_biased
     M = w.mean
     total = 1
-    k = int(rng.poisson(lam * x * M))
-    types = tilde.sample(k, rng)
-    while types.size:
-        total += types.size
+    k = rng.poisson(lam * x * M)
+    while k:
+        total += k
         if total > cap:
             return EXCEEDED
-        counts = rng.poisson(lam * M * types)
-        types = tilde.sample(int(counts.sum()), rng)
+        k = rng.poisson(lam * M * tilde.sample(k, rng).sum())
     return total
 
 

@@ -65,10 +65,11 @@ class TestBorelTail:
                     return min(total, 1.0)
 
         ks = (2, 5, 20) if lp < 0.99 else (5,)
-        for k in ks:
-            assert borel_tail(lp, k) == pytest.approx(loop(k), rel=1e-10)
+        expected = [loop(k) for k in ks]  # about 1.4 s a call at lambda' = 0.99, so once per k
+        for k, want in zip(ks, expected):
+            assert borel_tail(lp, k) == pytest.approx(want, rel=1e-10)
         # the array form: one sum from max(k), and each smaller k's head terms added
-        assert borel_tail(lp, np.array(ks)) == pytest.approx([loop(k) for k in ks], rel=1e-10)
+        assert borel_tail(lp, np.array(ks)) == pytest.approx(expected, rel=1e-10)
 
     def test_near_critical_is_fast(self):
         # about 10^6 terms at lambda' = 0.99, summed in numpy chunks
@@ -270,6 +271,40 @@ class TestSizeBiased:
 class TestTwoProcessIdentity:
     def test_b1_type_zero_is_leaf(self):
         assert simulate_B1(0.0, 1.0, W12, 100, rng_for(0)) == 1
+
+    @pytest.mark.parametrize("w, x, seed", [
+        (W12, 0.5, 71), (W12, 2.0, 72),
+        (WeightSpec.truncated_exponential(1.0, 6.0), 0.5, 73),
+        (WeightSpec.truncated_exponential(1.0, 6.0), 2.0, 74),
+    ], ids=["discrete12-x0.5", "discrete12-x2", "trunc_exp6-x0.5", "trunc_exp6-x2"])
+    def test_b1_fixed_root_law(self, w, x, seed):
+        # B1 from a fixed root type x, which identity_check never roots at:
+        # the root has Po(mu) children, mu = lam x EW, and each child's
+        # subtree is a B2 tree, of mean 1 / (1 - m) and variance
+        # sigma^2 / (1 - m)^3 with m = lam E W^2 (as in the walk's oracle)
+        lam, n = 0.3, 20_000
+        rng = rng_for(seed)
+        mu, m = lam * x * w.mean, lam * w.second_moment
+        sigma2 = m + lam * lam * (w.mean * w.expectation(lambda y: y ** 3) - w.second_moment ** 2)
+        sub_mean = 1 / (1 - m)
+        sub_sq = sigma2 / (1 - m) ** 3 + sub_mean ** 2
+        sizes = [simulate_B1(x, lam, w, 1_000_000, rng) for _ in range(n)]
+        assert all(type(t) is int and t >= 1 for t in sizes)
+        sizes = np.array(sizes)
+        p1 = math.exp(-mu)
+        for est, target, se in (
+            ((sizes == 1).mean(), p1, math.sqrt(p1 * (1 - p1) / n)),
+            (sizes.mean(), 1 + mu * sub_mean, math.sqrt(mu * sub_sq / n)),
+        ):
+            assert abs(est - target) < 4 * se, (est, target, (est - target) / se)
+        # past cap = 2 a tree is EXCEEDED: P(T = 2) is one child, a leaf,
+        # with probability mu e^{-mu} E exp(-lam EW Wt)
+        p2 = mu * p1 * w.size_biased.expectation(lambda y: np.exp(-lam * w.mean * y))
+        capped = np.array([simulate_B1(x, lam, w, 2, rng) for _ in range(n)])
+        assert set(np.unique(capped).tolist()) <= {1, 2, EXCEEDED}
+        for size, target in ((1, p1), (2, p2), (EXCEEDED, 1 - p1 - p2)):
+            frac = (capped == size).mean()
+            assert abs(frac - target) < 4 * math.sqrt(target * (1 - target) / n), (size, frac, target)
 
     def test_b1_homogeneous_reduces_to_gw(self):
         # W == 1: both processes are plain Poisson(lam) GW trees
